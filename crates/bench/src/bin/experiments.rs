@@ -9,7 +9,9 @@
 //! Subcommands: `fig2 fig3 fig4 fig5 fig6 fig7 compile-speed loop-size
 //! ii-compare solver ablation-order ablation-iisearch ablation-spill
 //! speedup all audit chaos portfolio profile bench opt serve-bench
-//! serve-chaos serve-smoke`.
+//! serve-chaos serve-smoke`. No command means `all`. An unknown command,
+//! or a `--threads`/`--clients` value that is not a number, prints the
+//! usage to stderr and exits 2.
 //!
 //! `opt` (not part of `all`) runs every suite loop (plus the Livermore
 //! kernels) through the mid-end pass pipeline, translation-validating
@@ -57,9 +59,8 @@
 //! cache hit rate, and the full exact-counter dump.
 //!
 //! `serve-bench` (not part of `all`) saturates the compile service —
-//! cold, warm, and kill-and-restart phases over one persistent store —
-//! and times the sharded cache against the single-lock baseline; with
-//! `--json FILE` it writes the snapshot committed as `BENCH_pr9.json`.
+//! cold, warm, and kill-and-restart phases over one persistent store;
+//! with `--json FILE` it writes the saturation snapshot.
 //!
 //! `serve-chaos` (not part of `all`) runs the service-layer fault
 //! sweep: corrupt store records, a crash between temp-write and rename,
@@ -91,6 +92,55 @@ use swp_bench::{
 use swp_heur::PriorityHeuristic;
 use swp_machine::Machine;
 
+/// Every subcommand; `all` runs the figure set.
+const COMMANDS: [&str; 24] = [
+    "all",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "compile-speed",
+    "loop-size",
+    "ii-compare",
+    "ablation-order",
+    "ablation-iisearch",
+    "ablation-spill",
+    "speedup",
+    "solver",
+    "opt",
+    "audit",
+    "chaos",
+    "portfolio",
+    "profile",
+    "bench",
+    "serve-bench",
+    "serve-chaos",
+    "serve-smoke",
+];
+
+/// Print `message` and the usage to stderr, then exit 2: a typo in a CI
+/// step must fail the step, not run nothing and pass.
+fn usage_error(message: &str) -> ! {
+    eprintln!("experiments: {message}");
+    eprintln!(
+        "usage: experiments [COMMAND] [--full] [--threads N] [-D|--deny] [--gate] \
+         [--json FILE] [--trace FILE] [--clients N]"
+    );
+    eprintln!("commands: {}", COMMANDS.join(" "));
+    std::process::exit(2);
+}
+
+/// The numeric value after `flag`, if the flag is given at all.
+fn numeric_flag(args: &[String], flag: &str) -> Option<usize> {
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1).map(|v| v.parse::<usize>()) {
+        Some(Ok(n)) => Some(n),
+        _ => usage_error(&format!("{flag} needs a non-negative integer")),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let effort = if args.iter().any(|a| a == "--full") {
@@ -98,13 +148,11 @@ fn main() {
     } else {
         Effort::Quick
     };
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(Driver::default_threads);
+    let threads = numeric_flag(&args, "--threads").unwrap_or_else(Driver::default_threads);
     let cmd = args.first().map(String::as_str).unwrap_or("all");
+    if !COMMANDS.contains(&cmd) {
+        usage_error(&format!("unknown command {cmd:?}"));
+    }
     let m = Machine::r8000();
     let driver = Driver::new(threads);
 
@@ -692,31 +740,15 @@ fn main() {
             .iter()
             .position(|a| a == "--json")
             .and_then(|i| args.get(i + 1));
-        let clients = args
-            .iter()
-            .position(|a| a == "--clients")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(8);
-        println!("== Serve bench: saturation (cold/warm/restart) + shard compare ==");
+        let clients = numeric_flag(&args, "--clients").unwrap_or(8);
+        println!("== Serve bench: saturation (cold/warm/restart) ==");
         let root = serve_root("bench");
         let sat = swp_serve::saturate(&m, clients, &root)
             .unwrap_or_else(|e| panic!("saturation bench: {e}"));
         let _ = std::fs::remove_dir_all(&root);
         print_saturation(&sat);
-        // Enough rounds that the all-hit path (where lock contention
-        // lives) dominates the one compile round.
-        let shards = swp_serve::shard_compare(&m, 8, 64);
-        println!(
-            "shard compare: {} threads x {} rounds — single-lock {}us, sharded {}us ({:.2}x)",
-            shards.threads,
-            shards.rounds,
-            shards.single_lock_us,
-            shards.sharded_us,
-            shards.speedup()
-        );
         if let Some(path) = json_path {
-            let json = serve_bench_json(&sat, &shards);
+            let json = serve_bench_json(&sat);
             swp_obs::parse_json(&json).expect("serve-bench serializer emits valid JSON");
             swp_serve::write_atomic(std::path::Path::new(path), json.as_bytes())
                 .unwrap_or_else(|e| panic!("writing serve snapshot to {path}: {e}"));
@@ -849,11 +881,12 @@ fn serve_stats_json(w: &mut swp_obs::JsonWriter, key: &str, s: &swp_serve::Serve
     w.end_object();
 }
 
-/// Render the `swp-serve-bench/1` snapshot committed as `BENCH_pr9.json`.
-fn serve_bench_json(sat: &swp_serve::SaturationReport, shards: &swp_serve::ShardCompare) -> String {
+/// Render the `swp-serve-bench/2` snapshot (`BENCH_pr9.json` is a
+/// `/1` snapshot, which also carried a cache shard comparison).
+fn serve_bench_json(sat: &swp_serve::SaturationReport) -> String {
     let mut w = swp_obs::JsonWriter::new();
     w.begin_object();
-    w.key("schema").string("swp-serve-bench/1");
+    w.key("schema").string("swp-serve-bench/2");
     w.key("saturation").begin_object();
     w.key("clients").uint(sat.clients as u64);
     w.key("loops_per_phase").uint(sat.loops_per_phase as u64);
@@ -864,13 +897,6 @@ fn serve_bench_json(sat: &swp_serve::SaturationReport, shards: &swp_serve::Shard
     serve_stats_json(&mut w, "cold_stats", &sat.cold_stats);
     serve_stats_json(&mut w, "restart_stats", &sat.restart_stats);
     w.key("restart_disk_hit_rate").float(sat.restart_hit_rate());
-    w.end_object();
-    w.key("shard_compare").begin_object();
-    w.key("threads").uint(shards.threads as u64);
-    w.key("rounds").uint(shards.rounds as u64);
-    w.key("single_lock_us").uint(shards.single_lock_us);
-    w.key("sharded_us").uint(shards.sharded_us);
-    w.key("speedup").float(shards.speedup());
     w.end_object();
     w.end_object();
     w.finish()

@@ -39,19 +39,7 @@ impl Effort {
     /// memoized.
     pub fn most_options(self) -> MostOptions {
         match self {
-            Effort::Quick => MostOptions {
-                node_limit: 20_000,
-                pivot_limit: 400_000,
-                time_limit: None,
-                loop_time_limit: None,
-                // The deterministic ladder cap: ~3 full solves' worth of
-                // pivots across all IIs tried for one loop, so a loop
-                // whose schedules keep failing allocation cannot grind
-                // through every II to MaxII at full budget.
-                loop_pivot_limit: Some(1_200_000),
-                max_ops: 64,
-                ..MostOptions::default()
-            },
+            Effort::Quick => MostOptions::quick(),
             Effort::Full => MostOptions {
                 node_limit: 2_000_000,
                 time_limit: Some(Duration::from_secs(10)),
@@ -66,15 +54,7 @@ impl Effort {
     /// only, `Full` keeps wall clocks.
     pub fn sat_options(self) -> SatOptions {
         match self {
-            Effort::Quick => SatOptions {
-                conflict_limit: 20_000,
-                propagation_limit: 2_000_000,
-                time_limit: None,
-                loop_time_limit: None,
-                loop_conflict_limit: Some(60_000),
-                max_ops: 64,
-                ..SatOptions::default()
-            },
+            Effort::Quick => SatOptions::quick(),
             Effort::Full => SatOptions {
                 conflict_limit: 2_000_000,
                 time_limit: Some(Duration::from_secs(10)),

@@ -38,8 +38,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
+use crate::backend::Backend;
 use crate::compile::{
-    compile_loop_with, CompileError, CompileOptions, CompiledLoop, SchedulerChoice,
+    compile_loop_with, CompileError, CompileOptions, CompiledLoop, Plan, SchedulerChoice,
 };
 use crate::ladder::{ChaosFault, ChaosOptions, Corruption, LadderOptions};
 use crate::portfolio::PortfolioOptions;
@@ -152,75 +153,117 @@ fn fold_machine(h: &mut StableHasher, machine: &Machine) {
     }
 }
 
+// Every `fold_*_options` destructures its struct without `..`, so an
+// option added without being keyed fails to compile. The byte order is
+// frozen: keys address the disk store, and the golden test in
+// `tests/cache_keys.rs` pins their values.
+
+fn fold_duration(h: &mut StableHasher, d: Option<std::time::Duration>) {
+    h.opt_u64(d.map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)));
+}
+
 fn fold_heur_options(h: &mut StableHasher, opts: &HeurOptions) {
+    let HeurOptions {
+        heuristics,
+        backtrack_budget,
+        bank_pairing,
+        max_ii_factor,
+        enable_spilling,
+        two_phase_search,
+        explore_stalls,
+        // Like telemetry, cancellation cannot change what a *completed*
+        // search produced, and a cancelled one is never memoized (see
+        // [`is_transient`]).
+        cancel: _,
+    } = opts;
     h.byte(b'H');
-    h.u64(opts.heuristics.len() as u64);
-    for &heur in &opts.heuristics {
+    h.u64(heuristics.len() as u64);
+    for &heur in heuristics {
         h.u64(heur as u64);
     }
-    h.u64(u64::from(opts.backtrack_budget));
-    h.bool(opts.bank_pairing);
-    h.u64(u64::from(opts.max_ii_factor));
-    h.bool(opts.enable_spilling);
-    h.bool(opts.two_phase_search);
-    h.bool(opts.explore_stalls);
+    h.u64(u64::from(*backtrack_budget));
+    h.bool(*bank_pairing);
+    h.u64(u64::from(*max_ii_factor));
+    h.bool(*enable_spilling);
+    h.bool(*two_phase_search);
+    h.bool(*explore_stalls);
 }
 
 fn fold_most_options(h: &mut StableHasher, opts: &MostOptions) {
+    let MostOptions {
+        minimize_buffers,
+        node_limit,
+        pivot_limit,
+        time_limit,
+        use_priority_orders,
+        max_ii_factor,
+        fallback,
+        loop_time_limit,
+        loop_pivot_limit,
+        max_ops,
+    } = opts;
     h.byte(b'M');
-    h.bool(opts.minimize_buffers);
-    h.u64(opts.node_limit);
-    h.u64(opts.pivot_limit);
-    h.opt_u64(
-        opts.time_limit
-            .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
-    );
-    h.bool(opts.use_priority_orders);
-    h.u64(u64::from(opts.max_ii_factor));
-    h.bool(opts.fallback);
-    h.opt_u64(
-        opts.loop_time_limit
-            .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
-    );
-    h.opt_u64(opts.loop_pivot_limit);
-    h.u64(opts.max_ops as u64);
+    h.bool(*minimize_buffers);
+    h.u64(*node_limit);
+    h.u64(*pivot_limit);
+    fold_duration(h, *time_limit);
+    h.bool(*use_priority_orders);
+    h.u64(u64::from(*max_ii_factor));
+    h.bool(*fallback);
+    fold_duration(h, *loop_time_limit);
+    h.opt_u64(*loop_pivot_limit);
+    h.u64(*max_ops as u64);
 }
 
-/// Every deterministic SAT knob; the cancel token is deliberately
-/// excluded (like telemetry, cancellation cannot change what a
-/// *completed* compile produced, and truncated results are never
-/// memoized anyway — see [`is_transient`]).
 fn fold_sat_options(h: &mut StableHasher, opts: &SatOptions) {
+    let SatOptions {
+        conflict_limit,
+        propagation_limit,
+        time_limit,
+        max_ii_factor,
+        fallback,
+        loop_time_limit,
+        loop_conflict_limit,
+        max_ops,
+        // Excluded for the same reason as the heuristic's token.
+        cancel: _,
+    } = opts;
     h.byte(b'S');
-    h.u64(opts.conflict_limit);
-    h.u64(opts.propagation_limit);
-    h.opt_u64(
-        opts.time_limit
-            .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
-    );
-    h.u64(u64::from(opts.max_ii_factor));
-    h.bool(opts.fallback);
-    h.opt_u64(
-        opts.loop_time_limit
-            .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
-    );
-    h.opt_u64(opts.loop_conflict_limit);
-    h.u64(opts.max_ops as u64);
+    h.u64(*conflict_limit);
+    h.u64(*propagation_limit);
+    fold_duration(h, *time_limit);
+    h.u64(u64::from(*max_ii_factor));
+    h.bool(*fallback);
+    fold_duration(h, *loop_time_limit);
+    h.opt_u64(*loop_conflict_limit);
+    h.u64(*max_ops as u64);
 }
 
 fn fold_portfolio_options(h: &mut StableHasher, opts: &PortfolioOptions) {
+    let PortfolioOptions {
+        use_ilp,
+        use_sat,
+        use_heur,
+        most,
+        sat,
+        heur,
+    } = opts;
     h.byte(b'P');
-    h.bool(opts.use_ilp);
-    h.bool(opts.use_sat);
-    h.bool(opts.use_heur);
-    fold_most_options(h, &opts.most);
-    fold_sat_options(h, &opts.sat);
-    fold_heur_options(h, &opts.heur);
+    h.bool(*use_ilp);
+    h.bool(*use_sat);
+    h.bool(*use_heur);
+    fold_most_options(h, most);
+    fold_sat_options(h, sat);
+    fold_heur_options(h, heur);
 }
 
 fn fold_chaos(h: &mut StableHasher, chaos: &ChaosOptions) {
+    let ChaosOptions {
+        faults,
+        panic_in_flight,
+    } = chaos;
     h.byte(b'C');
-    for f in &chaos.faults {
+    for f in faults {
         h.byte(match f {
             None => 0,
             Some(ChaosFault::Panic) => 1,
@@ -230,22 +273,31 @@ fn fold_chaos(h: &mut StableHasher, chaos: &ChaosOptions) {
             Some(ChaosFault::Corrupt(Corruption::TamperedExpansion)) => 5,
         });
     }
-    h.bool(chaos.panic_in_flight);
+    h.bool(*panic_in_flight);
 }
 
 fn fold_ladder_options(h: &mut StableHasher, opts: &LadderOptions) {
+    let LadderOptions {
+        most,
+        sat,
+        heur,
+        escalation_rounds,
+        gate,
+        start_rung,
+        chaos,
+    } = opts;
     h.byte(b'L');
-    fold_most_options(h, &opts.most);
-    fold_sat_options(h, &opts.sat);
-    fold_heur_options(h, &opts.heur);
-    h.u64(u64::from(opts.escalation_rounds));
+    fold_most_options(h, most);
+    fold_sat_options(h, sat);
+    fold_heur_options(h, heur);
+    h.u64(u64::from(*escalation_rounds));
     // A demoted (lower-start) compile is a different artifact from a full
     // ladder run and must never alias one — overload demotion would
     // otherwise poison the cache (and the disk store) for quiet requests.
     h.byte(b'R');
-    h.byte(opts.start_rung.index() as u8);
+    h.byte(start_rung.index() as u8);
     h.byte(b'G');
-    h.byte(match opts.gate {
+    h.byte(match gate {
         VerifyLevel::Off => 0,
         VerifyLevel::Schedule => 1,
         VerifyLevel::Full => 2,
@@ -254,23 +306,19 @@ fn fold_ladder_options(h: &mut StableHasher, opts: &LadderOptions) {
     // demotions, its rung trace, possibly its gate rejections) must never
     // be served to — or pollute the memoized entry of — a quiet request
     // for the same loop.
-    fold_chaos(h, &opts.chaos);
+    fold_chaos(h, chaos);
 }
 
 fn fold_choice(h: &mut StableHasher, choice: &SchedulerChoice) {
-    // `Heuristic` and `HeuristicWith(default)` request the same compile,
-    // so they must share a key; likewise for `Ilp` and `Ladder`.
-    match choice {
-        SchedulerChoice::Heuristic => fold_heur_options(h, &HeurOptions::default()),
-        SchedulerChoice::HeuristicWith(opts) => fold_heur_options(h, opts),
-        SchedulerChoice::Ilp => fold_most_options(h, &MostOptions::default()),
-        SchedulerChoice::IlpWith(opts) => fold_most_options(h, opts),
-        SchedulerChoice::Sat => fold_sat_options(h, &SatOptions::default()),
-        SchedulerChoice::SatWith(opts) => fold_sat_options(h, opts),
-        SchedulerChoice::Ladder => fold_ladder_options(h, &LadderOptions::default()),
-        SchedulerChoice::LadderWith(opts) => fold_ladder_options(h, opts),
-        SchedulerChoice::Portfolio => fold_portfolio_options(h, &PortfolioOptions::default()),
-        SchedulerChoice::PortfolioWith(opts) => fold_portfolio_options(h, opts),
+    match choice.plan() {
+        Plan::Direct(Backend::Heuristic(opts)) => fold_heur_options(h, &opts),
+        Plan::Direct(Backend::Ilp(opts)) => fold_most_options(h, &opts),
+        Plan::Direct(Backend::Sat(opts)) => fold_sat_options(h, &opts),
+        // No scheduler choice plans the sequential rung on its own; the
+        // tag keeps the key total should one ever do.
+        Plan::Direct(Backend::Sequential) => h.byte(b'Q'),
+        Plan::Ladder(opts) => fold_ladder_options(h, &opts),
+        Plan::Portfolio(opts) => fold_portfolio_options(h, &opts),
     }
 }
 
@@ -307,12 +355,18 @@ pub fn cache_key(lp: &Loop, machine: &Machine, choice: &SchedulerChoice) -> u64 
 /// compile must alias an untraced one (and vice versa) instead of
 /// recompiling — and, worse, double-counting — per observer.
 pub fn cache_key_with(lp: &Loop, machine: &Machine, options: &CompileOptions) -> u64 {
+    let CompileOptions {
+        choice,
+        verify,
+        opt,
+        telemetry: _,
+    } = options;
     let mut h = StableHasher::new();
     fold_loop(&mut h, lp);
     fold_machine(&mut h, machine);
-    fold_choice(&mut h, &options.choice);
-    fold_verify(&mut h, options.verify);
-    fold_opt(&mut h, options.opt);
+    fold_choice(&mut h, choice);
+    fold_verify(&mut h, *verify);
+    fold_opt(&mut h, *opt);
     h.finish()
 }
 
@@ -323,16 +377,6 @@ enum Slot {
     Ready(Result<Arc<CompiledLoop>, CompileError>),
 }
 
-/// One lock's worth of the table. The map and its condition variable
-/// travel together: a waiter blocked on `ready` always re-checks the
-/// `slots` guarded by the *same* shard, so notifications cannot be lost
-/// between shards.
-#[derive(Default)]
-struct Shard {
-    slots: Mutex<HashMap<u64, Slot>>,
-    ready: Condvar,
-}
-
 /// Unwind protection for the in-flight dedup protocol: the leader that
 /// inserted a `Pending` slot owes its waiters a wake-up. If the compile
 /// panics, this guard's `Drop` runs during unwind, removes the orphaned
@@ -340,7 +384,7 @@ struct Shard {
 /// the slot empty, and becomes the new leader instead of sleeping forever
 /// on a key nobody owns. Disarmed on the normal publish path.
 struct PendingGuard<'a> {
-    shard: &'a Shard,
+    cache: &'a ScheduleCache,
     key: u64,
     armed: bool,
 }
@@ -353,10 +397,10 @@ impl Drop for PendingGuard<'_> {
         // The compile runs outside the slot lock, so the lock cannot be
         // poisoned by the panic being unwound; `if let` keeps this drop
         // panic-free even if that invariant ever breaks.
-        if let Ok(mut slots) = self.shard.slots.lock() {
+        if let Ok(mut slots) = self.cache.slots.lock() {
             slots.remove(&self.key);
         }
-        self.shard.ready.notify_all();
+        self.cache.ready.notify_all();
     }
 }
 
@@ -371,16 +415,12 @@ fn is_transient(result: &Result<Arc<CompiledLoop>, CompileError>) -> bool {
         // attempted, so a deadline-demoted (hence host-dependent) win on a
         // lower rung is covered by this same arm.
         Ok(c) => c.stats.deadline_hit,
-        Err(CompileError::Ilp(swp_most::MostError::NoSchedule { deadline_hit, .. })) => {
-            *deadline_hit
-        }
-        Err(CompileError::Sat(swp_sat::SatError::NoSchedule { deadline_hit, .. })) => *deadline_hit,
         // A cancelled heuristic search (a losing portfolio racer, or a
         // caller-owned token) was truncated by something other than its
         // deterministic budgets — never memoize it.
         Err(CompileError::Heuristic(swp_heur::PipelineError::Cancelled)) => true,
         Err(CompileError::LadderExhausted { attempts }) => attempts.iter().any(|a| a.deadline_hit),
-        Err(_) => false,
+        Err(e) => e.deadline_hit(),
     }
 }
 
@@ -406,56 +446,21 @@ impl CacheStats {
     }
 }
 
-/// A thread-safe memo table from compile requests to compiled loops,
-/// sharded by key hash so concurrent requests for *different* keys never
-/// contend on one lock. Each shard is an independent map + condvar pair;
-/// the in-flight dedup protocol (Pending slots, leader/waiter wake-ups,
-/// panic recovery) runs entirely within a key's home shard.
+/// A thread-safe memo table from compile requests to compiled loops.
+/// One lock guards the map; its condition variable wakes the waiters of
+/// in-flight compiles (see the module docs).
+#[derive(Default)]
 pub struct ScheduleCache {
-    shards: Box<[Shard]>,
+    slots: Mutex<HashMap<u64, Slot>>,
+    ready: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// Default shard count: enough to make lock collisions rare at the thread
-/// counts the `Driver` and the compile service run (8–32 workers), small
-/// enough that `len`/`clear` sweeps stay trivial.
-const DEFAULT_SHARDS: usize = 16;
-
-impl Default for ScheduleCache {
-    fn default() -> ScheduleCache {
-        ScheduleCache::with_shards(DEFAULT_SHARDS)
-    }
-}
-
 impl ScheduleCache {
-    /// An empty cache with the default shard count.
+    /// An empty cache.
     pub fn new() -> ScheduleCache {
         ScheduleCache::default()
-    }
-
-    /// An empty cache with an explicit shard count (clamped to at least
-    /// 1). `with_shards(1)` is the pre-sharding single-lock behavior —
-    /// benchmarks use it as the contention baseline.
-    pub fn with_shards(shards: usize) -> ScheduleCache {
-        ScheduleCache {
-            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of shards (for reports and tests).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The home shard of a key. The FNV key is already well mixed; fold
-    /// the high half in so shard choice and any power-of-two table
-    /// indexing inside the map never correlate.
-    fn shard_of(&self, key: u64) -> &Shard {
-        let mixed = key ^ (key >> 32);
-        &self.shards[(mixed % self.shards.len() as u64) as usize]
     }
 
     /// Compile `lp` with `choice`, or return the memoized result of an
@@ -499,9 +504,8 @@ impl ScheduleCache {
             .then(|| options.telemetry.install());
         let lookup = swp_obs::span("cache.lookup").with_s("loop", lp.name());
         let key = cache_key_with(lp, machine, options);
-        let shard = self.shard_of(key);
         {
-            let mut slots = shard.slots.lock().expect("cache lock");
+            let mut slots = self.slots.lock().expect("cache lock");
             loop {
                 match slots.get(&key) {
                     Some(Slot::Ready(r)) => {
@@ -511,7 +515,7 @@ impl ScheduleCache {
                     }
                     Some(Slot::Pending) => {
                         swp_obs::count(swp_obs::Counter::CacheInflightWaits, 1);
-                        slots = shard.ready.wait(slots).expect("cache lock");
+                        slots = self.ready.wait(slots).expect("cache lock");
                     }
                     None => {
                         slots.insert(key, Slot::Pending);
@@ -524,13 +528,13 @@ impl ScheduleCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         swp_obs::count(swp_obs::Counter::CacheMisses, 1);
         let mut guard = PendingGuard {
-            shard,
+            cache: self,
             key,
             armed: true,
         };
         let result = compile_loop_with(lp, machine, options).map(Arc::new);
         guard.armed = false;
-        let mut slots = shard.slots.lock().expect("cache lock");
+        let mut slots = self.slots.lock().expect("cache lock");
         if is_transient(&result) {
             // Deadline-truncated outcome: hand it to this caller but do
             // not memoize — drop the Pending slot so waiters (and future
@@ -540,7 +544,7 @@ impl ScheduleCache {
         } else {
             slots.insert(key, Slot::Ready(result.clone()));
         }
-        shard.ready.notify_all();
+        self.ready.notify_all();
         result
     }
 
@@ -550,13 +554,7 @@ impl ScheduleCache {
     /// chain) use this to decide whether the disk store even needs to be
     /// consulted; `None` covers both "absent" and "still in flight".
     pub fn peek(&self, key: u64) -> Option<Result<Arc<CompiledLoop>, CompileError>> {
-        match self
-            .shard_of(key)
-            .slots
-            .lock()
-            .expect("cache lock")
-            .get(&key)
-        {
+        match self.slots.lock().expect("cache lock").get(&key) {
             Some(Slot::Ready(r)) => Some(r.clone()),
             _ => None,
         }
@@ -565,27 +563,17 @@ impl ScheduleCache {
     /// Whether an entry (ready or in flight) exists for this request.
     pub fn contains(&self, lp: &Loop, machine: &Machine, choice: &SchedulerChoice) -> bool {
         let key = cache_key(lp, machine, choice);
-        self.shard_of(key)
-            .slots
-            .lock()
-            .expect("cache lock")
-            .contains_key(&key)
+        self.slots.lock().expect("cache lock").contains_key(&key)
     }
 
     /// Memoized entries (ready only).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .slots
-                    .lock()
-                    .expect("cache lock")
-                    .values()
-                    .filter(|s| matches!(s, Slot::Ready(_)))
-                    .count()
-            })
-            .sum()
+        self.slots
+            .lock()
+            .expect("cache lock")
+            .values()
+            .filter(|s| matches!(s, Slot::Ready(_)))
+            .count()
     }
 
     /// Whether the cache holds no ready entries.
@@ -601,14 +589,13 @@ impl ScheduleCache {
         }
     }
 
-    /// Drop every memoized entry and zero the counters. Shards are
-    /// cleared one at a time; in-flight compiles keep their Pending slots
-    /// so their waiters still get woken.
+    /// Drop every memoized entry and zero the counters. In-flight
+    /// compiles keep their Pending slots so their waiters still get woken.
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            let mut slots = shard.slots.lock().expect("cache lock");
-            slots.retain(|_, s| matches!(s, Slot::Pending));
-        }
+        self.slots
+            .lock()
+            .expect("cache lock")
+            .retain(|_, s| matches!(s, Slot::Pending));
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -667,22 +654,40 @@ mod tests {
     fn default_and_explicit_default_options_share_a_key() {
         let m = Machine::r8000();
         let lp = saxpy("s");
-        assert_eq!(
-            cache_key(&lp, &m, &SchedulerChoice::Heuristic),
-            cache_key(
-                &lp,
-                &m,
-                &SchedulerChoice::HeuristicWith(HeurOptions::default())
-            )
-        );
-        assert_eq!(
-            cache_key(&lp, &m, &SchedulerChoice::Ilp),
-            cache_key(&lp, &m, &SchedulerChoice::IlpWith(MostOptions::default()))
-        );
-        assert_ne!(
-            cache_key(&lp, &m, &SchedulerChoice::Heuristic),
-            cache_key(&lp, &m, &SchedulerChoice::Ilp)
-        );
+        let pairs = [
+            (
+                SchedulerChoice::Heuristic,
+                SchedulerChoice::HeuristicWith(HeurOptions::default()),
+            ),
+            (
+                SchedulerChoice::Ilp,
+                SchedulerChoice::IlpWith(MostOptions::default()),
+            ),
+            (
+                SchedulerChoice::Sat,
+                SchedulerChoice::SatWith(SatOptions::default()),
+            ),
+            (
+                SchedulerChoice::Ladder,
+                SchedulerChoice::LadderWith(Box::default()),
+            ),
+            (
+                SchedulerChoice::Portfolio,
+                SchedulerChoice::PortfolioWith(Box::default()),
+            ),
+        ];
+        for (plain, explicit) in &pairs {
+            assert_eq!(
+                cache_key(&lp, &m, plain),
+                cache_key(&lp, &m, explicit),
+                "{plain:?}"
+            );
+        }
+        let distinct: std::collections::HashSet<u64> = pairs
+            .iter()
+            .map(|(plain, _)| cache_key(&lp, &m, plain))
+            .collect();
+        assert_eq!(distinct.len(), pairs.len(), "backend families collided");
     }
 
     #[test]
@@ -997,20 +1002,6 @@ mod tests {
     fn ladder_and_chaos_options_are_part_of_the_key() {
         let m = Machine::r8000();
         let lp = saxpy("s");
-        // `Ladder` and an explicit default share a key; the ladder is a
-        // distinct request from either direct scheduler.
-        assert_eq!(
-            cache_key(&lp, &m, &SchedulerChoice::Ladder),
-            cache_key(&lp, &m, &SchedulerChoice::LadderWith(Box::default()))
-        );
-        assert_ne!(
-            cache_key(&lp, &m, &SchedulerChoice::Ladder),
-            cache_key(&lp, &m, &SchedulerChoice::Ilp)
-        );
-        assert_ne!(
-            cache_key(&lp, &m, &SchedulerChoice::Ladder),
-            cache_key(&lp, &m, &SchedulerChoice::Heuristic)
-        );
         // Every knob separates: escalation rounds, gate level, and each
         // distinct chaos plan gets its own entry.
         let quiet = cache_key(&lp, &m, &SchedulerChoice::Ladder);
@@ -1058,28 +1049,7 @@ mod tests {
     fn sat_and_portfolio_keys_never_alias_the_other_backends() {
         let m = Machine::r8000();
         let lp = saxpy("s");
-        // Defaults and explicit defaults alias within a backend…
-        assert_eq!(
-            cache_key(&lp, &m, &SchedulerChoice::Sat),
-            cache_key(&lp, &m, &SchedulerChoice::SatWith(SatOptions::default()))
-        );
-        assert_eq!(
-            cache_key(&lp, &m, &SchedulerChoice::Portfolio),
-            cache_key(&lp, &m, &SchedulerChoice::PortfolioWith(Box::default()))
-        );
-        // …but every backend family keys separately: a SAT or portfolio
-        // record must never be served to (or overwrite) a heuristic, ILP,
-        // or ladder request for the same loop.
-        let keys = [
-            cache_key(&lp, &m, &SchedulerChoice::Heuristic),
-            cache_key(&lp, &m, &SchedulerChoice::Ilp),
-            cache_key(&lp, &m, &SchedulerChoice::Sat),
-            cache_key(&lp, &m, &SchedulerChoice::Ladder),
-            cache_key(&lp, &m, &SchedulerChoice::Portfolio),
-        ];
-        let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
-        assert_eq!(distinct.len(), keys.len(), "backend families collided");
-        // Every deterministic SAT knob separates…
+        // Every deterministic SAT knob separates the key…
         let base = cache_key(&lp, &m, &SchedulerChoice::Sat);
         for tweaked in [
             SatOptions {
@@ -1159,45 +1129,33 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_are_configurable_and_behavior_matches_single_lock() {
+    fn a_repeated_sweep_compiles_each_loop_once() {
         let m = Machine::r8000();
-        assert_eq!(ScheduleCache::new().shard_count(), DEFAULT_SHARDS);
-        assert_eq!(ScheduleCache::with_shards(0).shard_count(), 1);
-        // Identical request sequences produce identical hit/miss totals
-        // and entry counts at any shard count, including the single-lock
-        // baseline.
         let loops: Vec<Loop> = (0..6)
             .map(|i| {
-                let mut b = LoopBuilder::new("shardy");
+                let mut b = LoopBuilder::new("sweep");
                 let x = b.array("x", 8);
                 let v = b.load(x, i, 8);
                 b.store(x, i + 64, 8, v);
                 b.finish()
             })
             .collect();
-        let run = |shards: usize| {
-            let cache = ScheduleCache::with_shards(shards);
-            for _ in 0..2 {
-                for lp in &loops {
-                    cache
-                        .get_or_compile(lp, &m, &SchedulerChoice::Heuristic)
-                        .expect("compiles");
-                }
+        let cache = ScheduleCache::new();
+        for _ in 0..2 {
+            for lp in &loops {
+                cache
+                    .get_or_compile(lp, &m, &SchedulerChoice::Heuristic)
+                    .expect("compiles");
             }
-            (cache.stats(), cache.len())
-        };
-        let single = run(1);
-        for shards in [2, 16, 64] {
-            assert_eq!(run(shards), single, "{shards} shards");
         }
-        assert_eq!(single.0, CacheStats { hits: 6, misses: 6 });
-        assert_eq!(single.1, 6);
+        assert_eq!(cache.stats(), CacheStats { hits: 6, misses: 6 });
+        assert_eq!(cache.len(), 6);
     }
 
     #[test]
-    fn clear_works_across_shards() {
+    fn clear_drops_every_entry_and_zeroes_the_counters() {
         let m = Machine::r8000();
-        let cache = ScheduleCache::with_shards(4);
+        let cache = ScheduleCache::new();
         for i in 0..5 {
             let mut b = LoopBuilder::new("c");
             let x = b.array("x", 8);
@@ -1244,19 +1202,18 @@ mod tests {
         let cache = ScheduleCache::new();
         let lp = saxpy("s");
         let key = cache_key(&lp, &m, &SchedulerChoice::Heuristic);
-        let shard = cache.shard_of(key);
-        shard
+        cache
             .slots
             .lock()
             .expect("cache lock")
             .insert(key, Slot::Pending);
         drop(PendingGuard {
-            shard,
+            cache: &cache,
             key,
             armed: true,
         });
         assert!(
-            !shard.slots.lock().expect("cache lock").contains_key(&key),
+            !cache.slots.lock().expect("cache lock").contains_key(&key),
             "an armed guard must clear its Pending slot on drop"
         );
         // With the slot cleared, a fresh request compiles normally.
@@ -1309,7 +1266,6 @@ mod tests {
         let chaotic_key = cache_key(&lp, &m, &chaotic);
         assert!(
             !cache
-                .shard_of(chaotic_key)
                 .slots
                 .lock()
                 .expect("cache lock stays healthy")

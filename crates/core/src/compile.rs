@@ -1,7 +1,9 @@
 //! Unified compilation entry points for both pipeliners.
 
+use crate::backend::{finish, schedule, Backend};
 use crate::ladder::{compile_ladder, LadderOptions, Rung, RungAttempt};
 use crate::portfolio::{compile_portfolio, PortfolioOptions};
+use std::borrow::Cow;
 use std::time::Instant;
 use swp_codegen::{list_schedule, BaselineLoop, PipelinedLoop};
 use swp_heur::{HeurOptions, PipelineError};
@@ -43,6 +45,43 @@ pub enum SchedulerChoice {
     /// The portfolio with explicit options (boxed: it carries all three
     /// backends' configurations).
     PortfolioWith(Box<PortfolioOptions>),
+}
+
+/// What a [`SchedulerChoice`] asks for, with every plain variant resolved
+/// to its default options — so `X` and `XWith(default)` run, and key, the
+/// same compile by construction.
+pub(crate) enum Plan<'a> {
+    /// One backend, run once.
+    Direct(Backend<'a>),
+    /// The degradation ladder.
+    Ladder(Cow<'a, LadderOptions>),
+    /// The portfolio race.
+    Portfolio(Cow<'a, PortfolioOptions>),
+}
+
+impl SchedulerChoice {
+    /// Resolve the choice to its plan. The only place the variants are
+    /// told apart: compiling, the mid-end's deadline and the cache key
+    /// all read the plan.
+    pub(crate) fn plan(&self) -> Plan<'_> {
+        use Cow::{Borrowed, Owned};
+        match self {
+            SchedulerChoice::Heuristic => {
+                Plan::Direct(Backend::Heuristic(Owned(HeurOptions::default())))
+            }
+            SchedulerChoice::HeuristicWith(opts) => {
+                Plan::Direct(Backend::Heuristic(Borrowed(opts)))
+            }
+            SchedulerChoice::Ilp => Plan::Direct(Backend::Ilp(Owned(MostOptions::default()))),
+            SchedulerChoice::IlpWith(opts) => Plan::Direct(Backend::Ilp(Borrowed(opts))),
+            SchedulerChoice::Sat => Plan::Direct(Backend::Sat(Owned(SatOptions::default()))),
+            SchedulerChoice::SatWith(opts) => Plan::Direct(Backend::Sat(Borrowed(opts))),
+            SchedulerChoice::Ladder => Plan::Ladder(Owned(LadderOptions::default())),
+            SchedulerChoice::LadderWith(opts) => Plan::Ladder(Borrowed(opts)),
+            SchedulerChoice::Portfolio => Plan::Portfolio(Owned(PortfolioOptions::default())),
+            SchedulerChoice::PortfolioWith(opts) => Plan::Portfolio(Borrowed(opts)),
+        }
+    }
 }
 
 /// Full compile configuration: which pipeliner, and how much independent
@@ -198,6 +237,23 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
+impl CompileError {
+    /// Whether a wall-clock deadline truncated the failed search, so the
+    /// failure depends on host load rather than on the request.
+    pub(crate) fn deadline_hit(&self) -> bool {
+        matches!(
+            self,
+            CompileError::Ilp(MostError::NoSchedule {
+                deadline_hit: true,
+                ..
+            }) | CompileError::Sat(SatError::NoSchedule {
+                deadline_hit: true,
+                ..
+            })
+        )
+    }
+}
+
 /// Software-pipeline a loop with the chosen scheduler and expand it to
 /// executable form.
 ///
@@ -210,17 +266,18 @@ pub fn compile_loop(
     machine: &Machine,
     choice: &SchedulerChoice,
 ) -> Result<CompiledLoop, CompileError> {
-    match choice {
-        SchedulerChoice::Heuristic => compile_heur(lp, machine, &HeurOptions::default()),
-        SchedulerChoice::HeuristicWith(opts) => compile_heur(lp, machine, opts),
-        SchedulerChoice::Ilp => compile_ilp(lp, machine, &MostOptions::default()),
-        SchedulerChoice::IlpWith(opts) => compile_ilp(lp, machine, opts),
-        SchedulerChoice::Sat => compile_sat(lp, machine, &SatOptions::default()),
-        SchedulerChoice::SatWith(opts) => compile_sat(lp, machine, opts),
-        SchedulerChoice::Ladder => compile_ladder(lp, machine, &LadderOptions::default()),
-        SchedulerChoice::LadderWith(opts) => compile_ladder(lp, machine, opts),
-        SchedulerChoice::Portfolio => compile_portfolio(lp, machine, &PortfolioOptions::default()),
-        SchedulerChoice::PortfolioWith(opts) => compile_portfolio(lp, machine, opts),
+    compile_plan(lp, machine, &choice.plan())
+}
+
+fn compile_plan(
+    lp: &Loop,
+    machine: &Machine,
+    plan: &Plan<'_>,
+) -> Result<CompiledLoop, CompileError> {
+    match plan {
+        Plan::Direct(backend) => schedule(backend, lp, machine).map(finish),
+        Plan::Ladder(opts) => compile_ladder(lp, machine, opts),
+        Plan::Portfolio(opts) => compile_portfolio(lp, machine, opts),
     }
 }
 
@@ -266,26 +323,20 @@ fn compile_inner(
     // The mid-end pass pipeline runs in front of *every* scheduler
     // choice, ladder included: each rung then schedules the optimized
     // body, so demotion never discards the optimization work.
-    let staged = run_opt_stage(lp, machine, options);
+    let plan = options.choice.plan();
+    let staged = run_opt_stage(lp, machine, options, &plan);
     let lp = staged.lp.as_ref().unwrap_or(lp);
     // Ladder compiles carry their own per-rung verify gate; its report
     // (lints included) is authoritative and already attached, so a second
     // outer audit would only duplicate findings.
-    if matches!(
-        options.choice,
-        SchedulerChoice::Ladder | SchedulerChoice::LadderWith(_)
-    ) {
-        let mut compiled = compile_loop(lp, machine, &options.choice)?;
-        staged.record(&mut compiled);
-        return Ok(compiled);
-    }
-    let lints = if options.verify == VerifyLevel::Full {
+    let outer_audit = options.verify != VerifyLevel::Off && !matches!(plan, Plan::Ladder(_));
+    let lints = if outer_audit && options.verify == VerifyLevel::Full {
         swp_verify::lint_findings(lp, machine)
     } else {
         Vec::new()
     };
-    let mut compiled = compile_loop(lp, machine, &options.choice)?;
-    if options.verify != VerifyLevel::Off {
+    let mut compiled = compile_plan(lp, machine, &plan)?;
+    if outer_audit {
         let mut report = swp_verify::audit(&compiled.code, machine, options.verify);
         report.findings.splice(0..0, lints);
         compiled.audit = Some(report);
@@ -336,7 +387,12 @@ impl OptStage {
 /// Run the [`PassManager`] over a clone of the input loop, under an
 /// `opt` telemetry span with per-pass application counters. Returns
 /// [`OptStage::skipped`] (and pays nothing) at [`OptLevel::Off`].
-fn run_opt_stage(lp: &Loop, machine: &Machine, options: &CompileOptions) -> OptStage {
+fn run_opt_stage(
+    lp: &Loop,
+    machine: &Machine,
+    options: &CompileOptions,
+    plan: &Plan<'_>,
+) -> OptStage {
     if options.opt == OptLevel::Off || lp.is_empty() {
         return OptStage::skipped();
     }
@@ -348,7 +404,7 @@ fn run_opt_stage(lp: &Loop, machine: &Machine, options: &CompileOptions) -> OptS
     // mid-end has: zero tolerance, so any pass that is not a bit-identical
     // rewrite (given the sim's own eval semantics) is reverted.
     let validate = |a: &Loop, b: &Loop| swp_sim::check_loops_equivalent(a, b, 12, 0.0);
-    let mut pm = PassManager::new(options.opt).with_deadline(opt_deadline(&options.choice));
+    let mut pm = PassManager::new(options.opt).with_deadline(opt_deadline(plan));
     if options.verify != VerifyLevel::Off {
         pm = pm.with_validator(&validate);
     }
@@ -372,31 +428,16 @@ fn run_opt_stage(lp: &Loop, machine: &Machine, options: &CompileOptions) -> OptS
 /// adding an unbounded stage in front of it. Heuristic compiles carry no
 /// wall budget, so their pipeline runs to fixpoint (it is bounded by the
 /// pass manager's round cap anyway).
-fn opt_deadline(choice: &SchedulerChoice) -> Option<Instant> {
-    let budget = match choice {
-        SchedulerChoice::Heuristic | SchedulerChoice::HeuristicWith(_) => None,
-        SchedulerChoice::Ilp => {
-            let d = MostOptions::default();
-            d.loop_time_limit.or(d.time_limit)
-        }
-        SchedulerChoice::IlpWith(opts) => opts.loop_time_limit.or(opts.time_limit),
-        SchedulerChoice::Sat => {
-            let d = SatOptions::default();
-            d.loop_time_limit.or(d.time_limit)
-        }
-        SchedulerChoice::SatWith(opts) => opts.loop_time_limit.or(opts.time_limit),
-        SchedulerChoice::Ladder => {
-            let d = LadderOptions::default();
-            d.most.loop_time_limit.or(d.most.time_limit)
-        }
-        SchedulerChoice::LadderWith(opts) => opts.most.loop_time_limit.or(opts.most.time_limit),
+fn opt_deadline(plan: &Plan<'_>) -> Option<Instant> {
+    let budget = match plan {
+        Plan::Direct(Backend::Heuristic(_) | Backend::Sequential) => None,
+        Plan::Direct(Backend::Ilp(most)) => most.loop_time_limit.or(most.time_limit),
+        Plan::Direct(Backend::Sat(sat)) => sat.loop_time_limit.or(sat.time_limit),
+        Plan::Ladder(opts) => opts.most.loop_time_limit.or(opts.most.time_limit),
         // The portfolio's wall budget is its highest-priority racer's:
-        // ILP is never cancelled, so its allowance bounds the race.
-        SchedulerChoice::Portfolio => {
-            let d = PortfolioOptions::default();
-            d.most.loop_time_limit.or(d.most.time_limit)
-        }
-        SchedulerChoice::PortfolioWith(opts) => opts.most.loop_time_limit.or(opts.most.time_limit),
+        // the ILP racer cannot be cancelled, so its allowance bounds the
+        // race.
+        Plan::Portfolio(opts) => opts.most.loop_time_limit.or(opts.most.time_limit),
     };
     budget.map(|d| Instant::now() + d)
 }
@@ -443,111 +484,6 @@ fn observe_quality(compiled: &CompiledLoop) {
         .saturating_add(stats.alloc_ns)
         .saturating_add(stats.expand_ns);
     observe(Histo::CompileTimeUs, total_ns / 1_000);
-}
-
-pub(crate) fn compile_heur(
-    lp: &Loop,
-    machine: &Machine,
-    opts: &HeurOptions,
-) -> Result<CompiledLoop, CompileError> {
-    let (pipelined, pipeline_ns) =
-        swp_obs::timed_ns("sched.heur", || swp_heur::pipeline(lp, machine, opts));
-    let p = pipelined.map_err(CompileError::Heuristic)?;
-    let (code, expand_ns) = swp_obs::timed_ns("expand", || {
-        PipelinedLoop::expand(&p.body, &p.schedule, &p.allocation)
-    });
-    Ok(CompiledLoop {
-        code,
-        stats: CompileStats {
-            min_ii: p.stats.min_ii,
-            ii: p.schedule.ii(),
-            fell_back: false,
-            optimal: false,
-            search_effort: u64::from(p.stats.backtracks),
-            pivots: 0,
-            deadline_hit: false,
-            opt_passes: Vec::new(),
-            spills: p.stats.spills,
-            driver_threads: crate::par::driver_threads_hint(),
-            sched_ns: pipeline_ns.saturating_sub(p.stats.alloc_ns),
-            alloc_ns: p.stats.alloc_ns,
-            expand_ns,
-        },
-        audit: None,
-        rung: None,
-        attempts: Vec::new(),
-    })
-}
-
-pub(crate) fn compile_ilp(
-    lp: &Loop,
-    machine: &Machine,
-    opts: &MostOptions,
-) -> Result<CompiledLoop, CompileError> {
-    let (pipelined, pipeline_ns) =
-        swp_obs::timed_ns("sched.ilp", || swp_most::pipeline_most(lp, machine, opts));
-    let p = pipelined.map_err(CompileError::Ilp)?;
-    if let Some(buffers) = p.stats.buffers {
-        swp_obs::observe(swp_obs::Histo::Buffers, u64::from(buffers));
-    }
-    let (code, expand_ns) = swp_obs::timed_ns("expand", || {
-        PipelinedLoop::expand(&p.body, &p.schedule, &p.allocation)
-    });
-    Ok(CompiledLoop {
-        code,
-        stats: CompileStats {
-            min_ii: p.stats.min_ii,
-            ii: p.schedule.ii(),
-            fell_back: p.stats.fell_back,
-            optimal: p.stats.optimal_ii,
-            search_effort: p.stats.nodes,
-            pivots: p.stats.pivots,
-            deadline_hit: p.stats.deadline_hit,
-            opt_passes: Vec::new(),
-            spills: 0,
-            driver_threads: crate::par::driver_threads_hint(),
-            sched_ns: pipeline_ns.saturating_sub(p.stats.alloc_ns),
-            alloc_ns: p.stats.alloc_ns,
-            expand_ns,
-        },
-        audit: None,
-        rung: None,
-        attempts: Vec::new(),
-    })
-}
-
-pub(crate) fn compile_sat(
-    lp: &Loop,
-    machine: &Machine,
-    opts: &SatOptions,
-) -> Result<CompiledLoop, CompileError> {
-    let (pipelined, pipeline_ns) =
-        swp_obs::timed_ns("sched.sat", || swp_sat::pipeline_sat(lp, machine, opts));
-    let p = pipelined.map_err(CompileError::Sat)?;
-    let (code, expand_ns) = swp_obs::timed_ns("expand", || {
-        PipelinedLoop::expand(&p.body, &p.schedule, &p.allocation)
-    });
-    Ok(CompiledLoop {
-        code,
-        stats: CompileStats {
-            min_ii: p.stats.min_ii,
-            ii: p.schedule.ii(),
-            fell_back: p.stats.fell_back,
-            optimal: p.stats.optimal_ii,
-            search_effort: p.stats.conflicts,
-            pivots: p.stats.propagations,
-            deadline_hit: p.stats.deadline_hit,
-            opt_passes: Vec::new(),
-            spills: 0,
-            driver_threads: crate::par::driver_threads_hint(),
-            sched_ns: pipeline_ns.saturating_sub(p.stats.alloc_ns),
-            alloc_ns: p.stats.alloc_ns,
-            expand_ns,
-        },
-        audit: None,
-        rung: None,
-        attempts: Vec::new(),
-    })
 }
 
 /// Build the non-pipelined baseline (software pipelining "disabled",

@@ -45,16 +45,15 @@
 //! *demonstrated*, not assumed; `experiments chaos -D` denies on any
 //! injected fault escaping its rung.
 
-use crate::compile::{
-    compile_heur, compile_ilp, compile_sat, CompileError, CompileStats, CompiledLoop,
-};
-use swp_codegen::{list_schedule, CodeSection, PipelinedLoop};
+use crate::backend::{finish, schedule, Backend, Scheduled};
+use crate::compile::{CompileError, CompiledLoop};
+use std::borrow::Cow;
+use swp_codegen::{CodeSection, PipelinedLoop};
 use swp_heur::HeurOptions;
-use swp_ir::{Ddg, Loop, Schedule};
+use swp_ir::{Loop, Schedule};
 use swp_machine::Machine;
-use swp_most::{MostError, MostOptions};
-use swp_regalloc::{allocate, AllocOutcome};
-use swp_sat::{SatError, SatOptions};
+use swp_most::MostOptions;
+use swp_sat::SatOptions;
 use swp_verify::{Severity, VerifyLevel};
 
 /// One rung of the degradation ladder, most aggressive first.
@@ -566,109 +565,48 @@ fn attempt_rung(
         }
         _ => {}
     }
-    let result = match rung {
-        Rung::Ilp => compile_ilp(lp, machine, &opts.most.without_fallback()),
-        Rung::Sat => compile_sat(lp, machine, &opts.sat.without_fallback()),
-        Rung::Heuristic => compile_heur(lp, machine, &opts.heur),
-        Rung::Escalated => {
-            let mut last = None;
-            for round in 1..=opts.escalation_rounds.max(1) {
-                match compile_heur(lp, machine, &opts.heur.escalated(round)) {
-                    Ok(c) => {
-                        last = Some(Ok(c));
-                        break;
-                    }
-                    Err(e) => last = Some(Err(e)),
-                }
-            }
-            last.expect("at least one escalation round runs")
-        }
-        Rung::Sequential => compile_sequential(lp, machine),
-    };
-    match result {
+    match schedule_rung(lp, machine, opts, rung).map(finish) {
         Ok(mut compiled) => {
             if let Some(ChaosFault::Corrupt(how)) = fault {
                 compiled.code = corrupt(&compiled.code, how);
             }
             RungResult::Scheduled(Box::new(compiled))
         }
-        Err(e) => {
-            let deadline_hit = matches!(
-                &e,
-                CompileError::Ilp(MostError::NoSchedule {
-                    deadline_hit: true,
-                    ..
-                }) | CompileError::Sat(SatError::NoSchedule {
-                    deadline_hit: true,
-                    ..
-                })
-            );
-            RungResult::Failed {
-                message: e.to_string(),
-                deadline_hit,
-            }
-        }
-    }
-}
-
-/// Rung 3: the §4.1 list schedule, expanded through the *same* artifact
-/// pipeline as the pipelining rungs. With II = sequential iteration
-/// length every op sits in stage 0, so the "pipelined" loop degenerates
-/// to an empty prologue/epilogue around a one-iteration kernel — but it
-/// is a bona fide [`PipelinedLoop`] the auditors can certify and the
-/// simulator can run, which is what makes the gate meaningful on the
-/// final rung too.
-fn compile_sequential(lp: &Loop, machine: &Machine) -> Result<CompiledLoop, CompileError> {
-    if lp.is_empty() {
-        return Err(CompileError::Heuristic(swp_heur::PipelineError::EmptyLoop));
-    }
-    let t0 = std::time::Instant::now();
-    let ddg = Ddg::build(lp, machine);
-    let base = list_schedule(lp, &ddg, machine);
-    let schedule = base.as_schedule();
-    let sched_ns = elapsed_ns(t0);
-    let (outcome, alloc_ns) =
-        swp_obs::timed_ns("regalloc.attempt", || allocate(lp, &schedule, machine));
-    let allocation = match outcome {
-        AllocOutcome::Allocated(a) => a,
-        AllocOutcome::Failed { .. } => {
-            // Unreachable for machine-sized loops (one non-overlapped
-            // iteration has minimal pressure), but a structured error
-            // beats a panic if a generated loop ever proves otherwise.
-            return Err(CompileError::Internal {
-                rung: Some(Rung::Sequential),
-                message: "sequential rung: register allocation failed".to_owned(),
-            });
-        }
-    };
-    let (code, expand_ns) = swp_obs::timed_ns("expand", || {
-        PipelinedLoop::expand(lp, &schedule, &allocation)
-    });
-    Ok(CompiledLoop {
-        stats: CompileStats {
-            min_ii: ddg.min_ii(),
-            ii: code.ii(),
-            fell_back: false,
-            optimal: false,
-            search_effort: 0,
-            pivots: 0,
-            deadline_hit: false,
-            opt_passes: Vec::new(),
-            spills: 0,
-            driver_threads: crate::par::driver_threads_hint(),
-            sched_ns,
-            alloc_ns,
-            expand_ns,
+        Err(e) => RungResult::Failed {
+            deadline_hit: e.deadline_hit(),
+            message: e.to_string(),
         },
-        code,
-        audit: None,
-        rung: None,
-        attempts: Vec::new(),
-    })
+    }
 }
 
-fn elapsed_ns(t: std::time::Instant) -> u64 {
-    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+/// Run the backend behind `rung`. The optimal rungs run with their
+/// internal fallback off — demotion is the ladder's job — and the
+/// escalated rung retries the heuristic with wider budgets, round by
+/// round, until one succeeds.
+fn schedule_rung(
+    lp: &Loop,
+    machine: &Machine,
+    opts: &LadderOptions,
+    rung: Rung,
+) -> Result<Scheduled, CompileError> {
+    let backend = match rung {
+        Rung::Ilp => Backend::Ilp(Cow::Owned(opts.most.without_fallback())),
+        Rung::Sat => Backend::Sat(Cow::Owned(opts.sat.without_fallback())),
+        Rung::Heuristic => Backend::Heuristic(Cow::Borrowed(&opts.heur)),
+        Rung::Escalated => {
+            let escalated = |round| Backend::Heuristic(Cow::Owned(opts.heur.escalated(round)));
+            let mut result = schedule(&escalated(1), lp, machine);
+            for round in 2..=opts.escalation_rounds {
+                if result.is_ok() {
+                    break;
+                }
+                result = schedule(&escalated(round), lp, machine);
+            }
+            return result;
+        }
+        Rung::Sequential => Backend::Sequential,
+    };
+    schedule(&backend, lp, machine)
 }
 
 /// Apply one deterministic corruption to a compiled artifact. Each class
@@ -729,24 +667,8 @@ mod tests {
     /// clocks, so tests reproduce on any host.
     fn quick() -> LadderOptions {
         LadderOptions {
-            most: MostOptions {
-                node_limit: 20_000,
-                pivot_limit: 400_000,
-                time_limit: None,
-                loop_time_limit: None,
-                loop_pivot_limit: Some(1_200_000),
-                max_ops: 64,
-                ..MostOptions::default()
-            },
-            sat: SatOptions {
-                conflict_limit: 20_000,
-                propagation_limit: 2_000_000,
-                time_limit: None,
-                loop_time_limit: None,
-                loop_conflict_limit: Some(60_000),
-                max_ops: 64,
-                ..SatOptions::default()
-            },
+            most: MostOptions::quick(),
+            sat: SatOptions::quick(),
             ..LadderOptions::default()
         }
     }

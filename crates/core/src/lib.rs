@@ -52,6 +52,7 @@
 //! # Ok::<(), showdown::CompileError>(())
 //! ```
 
+mod backend;
 mod cache;
 mod compare;
 mod compile;

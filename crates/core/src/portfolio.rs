@@ -21,27 +21,26 @@
 //! thread-local telemetry collector: losers record nothing, so counters
 //! cannot leak nondeterministic work measures. The calling thread records
 //! the race-level counters (`portfolio.races`, `portfolio.winner.*`,
-//! `portfolio.cancellations`) and expands the winning schedule itself.
+//! `portfolio.cancellations`) and finishes the winning schedule itself.
 
-use crate::compile::{CompileError, CompileStats, CompiledLoop};
+use crate::backend::{finish, schedule, Backend, Scheduled};
+use crate::compile::{CompileError, CompiledLoop};
 use crate::ladder::Rung;
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex};
-use std::time::Instant;
-use swp_codegen::PipelinedLoop;
 use swp_heur::HeurOptions;
 use swp_ir::Loop;
 use swp_machine::Machine;
-use swp_most::{MostError, MostOptions};
+use swp_most::MostOptions;
 use swp_obs::CancelToken;
-use swp_sat::{SatError, SatOptions};
+use swp_sat::SatOptions;
 
 /// Configuration of one portfolio race.
 ///
-/// The per-backend `cancel` fields inside [`MostOptions`], [`SatOptions`]
-/// and [`HeurOptions`] are overridden for the SAT and heuristic racers:
-/// the portfolio owns their cancellation. ILP keeps the caller's token —
-/// it is never cancelled by the race itself.
+/// The `cancel` fields inside [`SatOptions`] and [`HeurOptions`] are
+/// overridden for the racers: the portfolio owns their cancellation. The
+/// ILP racer cannot be cancelled at all.
 #[derive(Debug, Clone)]
 pub struct PortfolioOptions {
     /// Race the MOST ILP backend (priority 0, never cancelled).
@@ -72,38 +71,42 @@ impl Default for PortfolioOptions {
     }
 }
 
-/// A racing backend, in priority order (lower index wins ties at join).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    Ilp,
-    Sat,
-    Heur,
-}
-
-impl Backend {
-    fn rung(self) -> Rung {
-        match self {
-            Backend::Ilp => Rung::Ilp,
-            Backend::Sat => Rung::Sat,
-            Backend::Heur => Rung::Heuristic,
-        }
+/// The racers, in priority order (lower index wins at join): the rungs
+/// the ladder would try one by one, with internal fallbacks off — the
+/// heuristic racer *is* the fallback, running concurrently — and the
+/// cancellable backends wired to their racer's token.
+fn racers(opts: &PortfolioOptions) -> Vec<(Rung, Backend<'_>, CancelToken)> {
+    let mut racers = Vec::new();
+    if opts.use_ilp {
+        let most = opts.most.without_fallback();
+        racers.push((
+            Rung::Ilp,
+            Backend::Ilp(Cow::Owned(most)),
+            CancelToken::never(),
+        ));
     }
-
-    fn name(self) -> &'static str {
-        self.rung().name()
+    if opts.use_sat {
+        let cancel = CancelToken::new();
+        let sat = SatOptions {
+            cancel: cancel.clone(),
+            ..opts.sat.without_fallback()
+        };
+        racers.push((Rung::Sat, Backend::Sat(Cow::Owned(sat)), cancel));
     }
+    if opts.use_heur {
+        let cancel = CancelToken::new();
+        let heur = HeurOptions {
+            cancel: cancel.clone(),
+            ..opts.heur.clone()
+        };
+        racers.push((
+            Rung::Heuristic,
+            Backend::Heuristic(Cow::Owned(heur)),
+            cancel,
+        ));
+    }
+    racers
 }
-
-/// A racer's successful product, still in backend-native form; the
-/// calling thread expands only the winner.
-enum RacerOk {
-    Ilp(Box<swp_most::MostPipelined>),
-    Sat(Box<swp_sat::SatPipelined>),
-    Heur(Box<swp_heur::Pipelined>),
-}
-
-/// What one racer produced, plus its scheduling wall time.
-type RacerResult = (Result<RacerOk, CompileError>, u64);
 
 /// Race the enabled backends and ship the highest-priority success.
 ///
@@ -118,15 +121,8 @@ pub fn compile_portfolio(
     machine: &Machine,
     opts: &PortfolioOptions,
 ) -> Result<CompiledLoop, CompileError> {
-    let backends: Vec<Backend> = [
-        (opts.use_ilp, Backend::Ilp),
-        (opts.use_sat, Backend::Sat),
-        (opts.use_heur, Backend::Heur),
-    ]
-    .into_iter()
-    .filter_map(|(on, b)| on.then_some(b))
-    .collect();
-    if backends.is_empty() {
+    let racers = racers(opts);
+    if racers.is_empty() {
         return Err(CompileError::Internal {
             rung: None,
             message: "portfolio: no backends enabled".to_owned(),
@@ -135,32 +131,26 @@ pub fn compile_portfolio(
     swp_obs::count(swp_obs::Counter::PortfolioRaces, 1);
     let _span = swp_obs::span("portfolio")
         .with_s("loop", lp.name())
-        .with_i("backends", backends.len() as i64);
+        .with_i("backends", racers.len() as i64);
 
-    let tokens: Vec<CancelToken> = backends.iter().map(|_| CancelToken::new()).collect();
-    let slots: Vec<Mutex<Option<RacerResult>>> =
-        backends.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<Scheduled, CompileError>>>> =
+        racers.iter().map(|_| Mutex::new(None)).collect();
     let mut cancellations = 0u64;
     std::thread::scope(|s| {
         let (tx, rx) = mpsc::channel::<(usize, bool)>();
-        for (i, &backend) in backends.iter().enumerate() {
+        for (i, (rung, backend, _)) in racers.iter().enumerate() {
             let tx = tx.clone();
-            let token = tokens[i].clone();
             let slots = &slots;
             s.spawn(move || {
-                let t0 = Instant::now();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_backend(lp, machine, opts, backend, token)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(CompileError::Internal {
-                        rung: Some(backend.rung()),
-                        message: crate::ladder::panic_message(payload.as_ref()),
-                    })
-                });
-                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                let result = catch_unwind(AssertUnwindSafe(|| schedule(backend, lp, machine)))
+                    .unwrap_or_else(|payload| {
+                        Err(CompileError::Internal {
+                            rung: Some(*rung),
+                            message: crate::ladder::panic_message(payload.as_ref()),
+                        })
+                    });
                 let ok = result.is_ok();
-                *slots[i].lock().expect("racer slot lock") = Some((result, ns));
+                *slots[i].lock().expect("racer slot lock") = Some(result);
                 // The scope owns the receiver's lifetime; a racer outliving
                 // it is impossible, so a send failure is, too.
                 let _ = tx.send((i, ok));
@@ -170,7 +160,7 @@ pub fn compile_portfolio(
         // As success notifications arrive, cancel every racer that can no
         // longer win. Completion *order* only affects how early losers
         // stop burning cycles — never which backend wins.
-        let mut cancelled = vec![false; backends.len()];
+        let mut cancelled = vec![false; racers.len()];
         while let Ok((i, ok)) = rx.recv() {
             if !ok {
                 continue;
@@ -178,7 +168,7 @@ pub fn compile_portfolio(
             for (j, c) in cancelled.iter_mut().enumerate().skip(i + 1) {
                 if !*c {
                     *c = true;
-                    tokens[j].cancel();
+                    racers[j].2.cancel();
                     cancellations += 1;
                 }
             }
@@ -186,7 +176,7 @@ pub fn compile_portfolio(
     });
     swp_obs::count(swp_obs::Counter::PortfolioCancellations, cancellations);
 
-    let results: Vec<RacerResult> = slots
+    let mut results: Vec<Result<Scheduled, CompileError>> = slots
         .into_iter()
         .map(|s| {
             s.into_inner()
@@ -194,141 +184,32 @@ pub fn compile_portfolio(
                 .expect("scope joined, so every racer reported")
         })
         .collect();
-    let winner = results.iter().position(|(r, _)| r.is_ok());
-    let Some(w) = winner else {
+    let Some(w) = results.iter().position(Result::is_ok) else {
         // All failed ⇒ nothing was ever cancelled ⇒ every error is as
         // deterministic as its backend; report the highest-priority one.
-        let (err, _) = results.into_iter().next().expect("non-empty portfolio");
-        let Err(err) = err else {
-            unreachable!("no winner, so every racer failed");
-        };
-        return Err(err);
+        return results.swap_remove(0).map(finish);
     };
     // A deadline-truncated failure *above* the winner makes which backend
     // won host-dependent; taint the result so the cache skips it (losers
     // below the winner were cancelled or outranked — irrelevant).
-    let outranked_by_deadline = results[..w].iter().any(|(r, _)| match r {
-        Err(CompileError::Ilp(MostError::NoSchedule { deadline_hit, .. }))
-        | Err(CompileError::Sat(SatError::NoSchedule { deadline_hit, .. })) => *deadline_hit,
-        _ => false,
-    });
-    let backend = backends[w];
-    let (result, sched_wall_ns) = results.into_iter().nth(w).expect("winner index in range");
-    let won = result.expect("winner is Ok");
+    let outranked_by_deadline = results[..w]
+        .iter()
+        .any(|r| r.as_ref().is_err_and(CompileError::deadline_hit));
+    let rung = racers[w].0;
     swp_obs::count(
-        match backend {
-            Backend::Ilp => swp_obs::Counter::PortfolioWinnerIlp,
-            Backend::Sat => swp_obs::Counter::PortfolioWinnerSat,
-            Backend::Heur => swp_obs::Counter::PortfolioWinnerHeuristic,
+        match rung {
+            Rung::Ilp => swp_obs::Counter::PortfolioWinnerIlp,
+            Rung::Sat => swp_obs::Counter::PortfolioWinnerSat,
+            _ => swp_obs::Counter::PortfolioWinnerHeuristic,
         },
         1,
     );
-    let winner_span = swp_obs::span("portfolio.winner").with_s("backend", backend.name());
-    let mut compiled = expand_winner(won, sched_wall_ns);
+    let winner_span = swp_obs::span("portfolio.winner").with_s("backend", rung.name());
+    let mut compiled = finish(results.swap_remove(w).expect("winner is Ok"));
     drop(winner_span);
     compiled.stats.deadline_hit |= outranked_by_deadline;
-    compiled.rung = Some(backend.rung());
+    compiled.rung = Some(rung);
     Ok(compiled)
-}
-
-/// Run one backend with the race's cancellation discipline: ILP keeps
-/// the caller's token (it is never cancelled by the race), SAT and the
-/// heuristic get the racer token. Internal fallbacks are off — the
-/// heuristic racer *is* the fallback, running concurrently.
-fn run_backend(
-    lp: &Loop,
-    machine: &Machine,
-    opts: &PortfolioOptions,
-    backend: Backend,
-    token: CancelToken,
-) -> Result<RacerOk, CompileError> {
-    match backend {
-        Backend::Ilp => swp_most::pipeline_most(lp, machine, &opts.most.without_fallback())
-            .map(|p| RacerOk::Ilp(Box::new(p)))
-            .map_err(CompileError::Ilp),
-        Backend::Sat => {
-            let sat_opts = SatOptions {
-                cancel: token,
-                ..opts.sat.without_fallback()
-            };
-            swp_sat::pipeline_sat(lp, machine, &sat_opts)
-                .map(|p| RacerOk::Sat(Box::new(p)))
-                .map_err(CompileError::Sat)
-        }
-        Backend::Heur => {
-            let heur_opts = HeurOptions {
-                cancel: token,
-                ..opts.heur.clone()
-            };
-            swp_heur::pipeline(lp, machine, &heur_opts)
-                .map(|p| RacerOk::Heur(Box::new(p)))
-                .map_err(CompileError::Heuristic)
-        }
-    }
-}
-
-/// Expand the winning racer's schedule on the calling thread (which has
-/// the telemetry collector) and assemble the compile result. The racer
-/// measured its own scheduling wall time; allocation time is separated
-/// out of it the same way the direct compile paths do.
-fn expand_winner(won: RacerOk, sched_wall_ns: u64) -> CompiledLoop {
-    let (body, schedule, allocation, stats) = match won {
-        RacerOk::Ilp(p) => {
-            if let Some(buffers) = p.stats.buffers {
-                swp_obs::observe(swp_obs::Histo::Buffers, u64::from(buffers));
-            }
-            let stats = CompileStats {
-                min_ii: p.stats.min_ii,
-                ii: p.schedule.ii(),
-                optimal: p.stats.optimal_ii,
-                search_effort: p.stats.nodes,
-                pivots: p.stats.pivots,
-                deadline_hit: p.stats.deadline_hit,
-                alloc_ns: p.stats.alloc_ns,
-                ..CompileStats::default()
-            };
-            (p.body, p.schedule, p.allocation, stats)
-        }
-        RacerOk::Sat(p) => {
-            let stats = CompileStats {
-                min_ii: p.stats.min_ii,
-                ii: p.schedule.ii(),
-                optimal: p.stats.optimal_ii,
-                search_effort: p.stats.conflicts,
-                pivots: p.stats.propagations,
-                deadline_hit: p.stats.deadline_hit,
-                alloc_ns: p.stats.alloc_ns,
-                ..CompileStats::default()
-            };
-            (p.body, p.schedule, p.allocation, stats)
-        }
-        RacerOk::Heur(p) => {
-            let stats = CompileStats {
-                min_ii: p.stats.min_ii,
-                ii: p.schedule.ii(),
-                search_effort: u64::from(p.stats.backtracks),
-                spills: p.stats.spills,
-                alloc_ns: p.stats.alloc_ns,
-                ..CompileStats::default()
-            };
-            (p.body, p.schedule, p.allocation, stats)
-        }
-    };
-    let (code, expand_ns) = swp_obs::timed_ns("expand", || {
-        PipelinedLoop::expand(&body, &schedule, &allocation)
-    });
-    CompiledLoop {
-        code,
-        stats: CompileStats {
-            driver_threads: crate::par::driver_threads_hint(),
-            sched_ns: sched_wall_ns.saturating_sub(stats.alloc_ns),
-            expand_ns,
-            ..stats
-        },
-        audit: None,
-        rung: None,
-        attempts: Vec::new(),
-    }
 }
 
 #[cfg(test)]
@@ -351,23 +232,8 @@ mod tests {
     /// Deterministic racer budgets: work measures only, no wall clocks.
     fn quick() -> PortfolioOptions {
         PortfolioOptions {
-            most: MostOptions {
-                node_limit: 20_000,
-                pivot_limit: 400_000,
-                time_limit: None,
-                loop_time_limit: None,
-                loop_pivot_limit: Some(1_200_000),
-                max_ops: 64,
-                ..MostOptions::default()
-            },
-            sat: SatOptions {
-                conflict_limit: 20_000,
-                propagation_limit: 2_000_000,
-                time_limit: None,
-                loop_time_limit: None,
-                loop_conflict_limit: Some(60_000),
-                ..SatOptions::default()
-            },
+            most: MostOptions::quick(),
+            sat: SatOptions::quick(),
             ..PortfolioOptions::default()
         }
     }

@@ -400,15 +400,7 @@ mod tests {
             .expect("alvinn exists");
         let driver = Driver::new(2);
         let opts = crate::LadderOptions {
-            most: swp_most::MostOptions {
-                node_limit: 20_000,
-                pivot_limit: 400_000,
-                time_limit: None,
-                loop_time_limit: None,
-                loop_pivot_limit: Some(1_200_000),
-                max_ops: 64,
-                ..swp_most::MostOptions::default()
-            },
+            most: swp_most::MostOptions::quick(),
             ..crate::LadderOptions::default()
         };
         let report = ladder_suite_with(&driver, &suite, &m, &opts);

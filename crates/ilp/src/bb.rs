@@ -52,11 +52,6 @@ pub struct SolveOptions {
     /// scheduler that reaches an integral leaf in roughly one node per
     /// variable in the branch order.
     pub branch_up_first: bool,
-    /// Cooperative cancellation, polled per pivot batch and per node —
-    /// exactly where `time_limit` is polled. A cancelled solve reports
-    /// [`IlpResult::deadline_hit`] for the same reason a deadline does:
-    /// the truncation point is host-dependent.
-    pub cancel: swp_obs::CancelToken,
     /// A known integral solution installed as the starting incumbent
     /// (after a feasibility check against the model): the search begins
     /// with a valid solution and an armed objective cutoff instead of
@@ -79,7 +74,6 @@ impl Default for SolveOptions {
             integrality_tol: 1e-5,
             stop_at_first: false,
             branch_up_first: false,
-            cancel: swp_obs::CancelToken::never(),
             warm_start: None,
         }
     }
@@ -139,7 +133,7 @@ pub fn solve_ilp(model: &Model, options: &SolveOptions) -> IlpResult {
     let mut upper: Vec<f64> = model.vars.iter().map(|v| v.upper).collect();
 
     let deadline = options.time_limit.map(|d| Instant::now() + d);
-    let mut budget = Budget::new(options.pivot_limit, deadline, options.cancel.clone());
+    let mut budget = Budget::new(options.pivot_limit, deadline);
     let mut engine = LpEngine::new(model);
     let minimize = model.sense == Sense::Minimize;
     let _span = swp_obs::span("ilp.solve")

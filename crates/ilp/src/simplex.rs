@@ -69,34 +69,24 @@ pub(crate) struct Budget {
     /// Optional wall-clock deadline.
     pub deadline: Option<Instant>,
     /// Whether the deadline fired (distinguishes host-dependent truncation
-    /// from the deterministic pivot/node budgets). Cooperative
-    /// cancellation sets the same flag: like a deadline, whether it lands
-    /// mid-solve depends on wall clock, so both truncations share the
-    /// "host-dependent, never memoize" treatment downstream.
+    /// from the deterministic pivot/node budgets).
     pub deadline_hit: bool,
-    /// Cooperative cancellation, polled wherever the deadline is polled.
-    pub cancel: swp_obs::CancelToken,
     work_since_poll: u64,
 }
 
 impl Budget {
-    pub(crate) fn new(
-        pivot_limit: u64,
-        deadline: Option<Instant>,
-        cancel: swp_obs::CancelToken,
-    ) -> Budget {
+    pub(crate) fn new(pivot_limit: u64, deadline: Option<Instant>) -> Budget {
         Budget {
             pivot_limit,
             pivots: 0,
             deadline,
             deadline_hit: false,
-            cancel,
             work_since_poll: 0,
         }
     }
 
     pub(crate) fn unlimited() -> Budget {
-        Budget::new(u64::MAX, None, swp_obs::CancelToken::never())
+        Budget::new(u64::MAX, None)
     }
 
     /// Whether no further pivoting is allowed.
@@ -104,13 +94,9 @@ impl Budget {
         self.deadline_hit || self.pivots >= self.pivot_limit
     }
 
-    /// Check the deadline and cancel flag right now (node-granularity poll).
+    /// Check the deadline right now (node-granularity poll).
     pub(crate) fn poll(&mut self) -> bool {
         if self.deadline_hit {
-            return true;
-        }
-        if self.cancel.is_cancelled() {
-            self.deadline_hit = true;
             return true;
         }
         if let Some(d) = self.deadline {
@@ -129,7 +115,7 @@ impl Budget {
         if self.pivots >= self.pivot_limit {
             return false;
         }
-        if self.deadline.is_some() || self.cancel.is_real() {
+        if self.deadline.is_some() {
             self.work_since_poll = self.work_since_poll.saturating_add(work);
             if self.work_since_poll >= POLL_WORK {
                 self.work_since_poll = 0;
@@ -1125,7 +1111,7 @@ pub(crate) fn solve_lp_with_bounds(
     upper: &[f64],
     deadline: Option<Instant>,
 ) -> LpOutcome {
-    let mut budget = Budget::new(u64::MAX, deadline, swp_obs::CancelToken::never());
+    let mut budget = Budget::new(u64::MAX, deadline);
     LpEngine::new(model).solve_budgeted(lower, upper, &mut budget)
 }
 

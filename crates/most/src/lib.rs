@@ -83,11 +83,6 @@ pub struct MostOptions {
     /// reports MOST's practical ceiling at 61 operations; beyond it the
     /// solves only burn their full budgets before failing.
     pub max_ops: usize,
-    /// Cooperative cancellation, polled per simplex pivot batch (the same
-    /// granularity as `time_limit`). A cancelled search reports
-    /// `deadline_hit` so the schedule cache never memoizes it. Not part
-    /// of the cache key.
-    pub cancel: swp_obs::CancelToken,
 }
 
 impl Default for MostOptions {
@@ -103,12 +98,30 @@ impl Default for MostOptions {
             loop_time_limit: Some(Duration::from_secs(180)),
             loop_pivot_limit: None,
             max_ops: 80,
-            cancel: swp_obs::CancelToken::never(),
         }
     }
 }
 
 impl MostOptions {
+    /// Small deterministic budgets: node and pivot counts only, every
+    /// wall-clock limit off, so results are identical on any host at any
+    /// load. Tests, CI gates, the quick experiments and the compile
+    /// service run MOST this way.
+    pub fn quick() -> MostOptions {
+        MostOptions {
+            node_limit: 20_000,
+            pivot_limit: 400_000,
+            time_limit: None,
+            loop_time_limit: None,
+            // ~3 full solves' worth of pivots across all IIs tried for one
+            // loop, so a loop whose schedules keep failing allocation
+            // cannot grind through every II to MaxII at full budget.
+            loop_pivot_limit: Some(1_200_000),
+            max_ops: 64,
+            ..MostOptions::default()
+        }
+    }
+
     /// The same budgets with the internal heuristic fallback disabled.
     /// The degradation ladder runs MOST this way: demotion to the
     /// heuristic is the ladder's job, and keeping the fallback inside
@@ -250,7 +263,7 @@ pub fn pipeline_most(
     let started = Instant::now();
     let loop_deadline = opts.loop_time_limit.map(|d| started + d);
     for ii in min_ii..=max_ii {
-        if opts.cancel.is_cancelled() || loop_deadline.is_some_and(|d| Instant::now() >= d) {
+        if loop_deadline.is_some_and(|d| Instant::now() >= d) {
             stats.deadline_hit = true;
             break;
         }
@@ -313,11 +326,7 @@ fn fallback_or_fail(
     deadline_hit: bool,
 ) -> Result<MostPipelined, MostError> {
     if opts.fallback {
-        let heur_opts = HeurOptions {
-            cancel: opts.cancel.clone(),
-            ..HeurOptions::default()
-        };
-        if let Ok(h) = swp_heur::pipeline(lp, machine, &heur_opts) {
+        if let Ok(h) = swp_heur::pipeline(lp, machine, &HeurOptions::default()) {
             swp_obs::count(swp_obs::Counter::MostFallbacks, 1);
             let stats = MostStats {
                 fell_back: true,
@@ -366,7 +375,6 @@ fn solve_at_ii(
             // SolveOptions docs).
             branch_groups: Some(feas_model.branch_groups(order)),
             branch_up_first: true,
-            cancel: opts.cancel.clone(),
             ..SolveOptions::default()
         };
         stats.solves += 1;
@@ -408,7 +416,6 @@ fn solve_at_ii(
             branch_order: Some(buf_model.branch_order(order)),
             branch_groups: Some(buf_model.branch_groups(order)),
             branch_up_first: true,
-            cancel: opts.cancel.clone(),
             // Seed the search with the feasibility schedule (extended by
             // its implied buffer counts — the two models share the
             // schedule-variable prefix): the solve starts with an

@@ -1,9 +1,10 @@
 //! Cooperative cancellation for racing schedulers.
 //!
-//! A [`CancelToken`] is a cloneable flag a portfolio driver hands to every
-//! racing backend; the backends poll it at the same granularity as their
-//! wall-clock deadline checks (per simplex pivot batch, per backtrack, per
-//! CDCL conflict) and abandon the search promptly once it fires. The token
+//! A [`CancelToken`] is a cloneable flag a portfolio driver hands to the
+//! cancellable racing backends (SAT and the heuristic; the ILP racer is
+//! never cancelled); they poll it at the same granularity as their
+//! wall-clock deadline checks (per backtrack, per CDCL conflict) and
+//! abandon the search promptly once it fires. The token
 //! lives here rather than in a scheduler crate because `swp-obs` is the one
 //! crate every backend already depends on.
 //!
@@ -38,12 +39,6 @@ impl CancelToken {
         CancelToken { flag: None }
     }
 
-    /// Whether this token can fire at all (i.e. is not the inert default).
-    /// Pollers use it to decide whether periodic checks are worth paying.
-    pub fn is_real(&self) -> bool {
-        self.flag.is_some()
-    }
-
     /// Fire the flag. All clones observe it; inert tokens ignore it.
     pub fn cancel(&self) {
         if let Some(f) = &self.flag {
@@ -66,7 +61,6 @@ mod tests {
     #[test]
     fn default_token_is_inert() {
         let t = CancelToken::default();
-        assert!(!t.is_real());
         assert!(!t.is_cancelled());
         t.cancel();
         assert!(!t.is_cancelled(), "inert tokens never fire");
@@ -76,7 +70,7 @@ mod tests {
     fn clones_share_the_flag() {
         let t = CancelToken::new();
         let u = t.clone();
-        assert!(t.is_real() && !t.is_cancelled());
+        assert!(!t.is_cancelled());
         u.cancel();
         assert!(t.is_cancelled());
         assert!(u.is_cancelled());

@@ -105,6 +105,22 @@ impl Default for SatOptions {
 }
 
 impl SatOptions {
+    /// Small deterministic budgets, the SAT counterpart of
+    /// `MostOptions::quick`: conflict and propagation counts only, every
+    /// wall-clock limit off, so a schedule replays bit-identically on any
+    /// host.
+    pub fn quick() -> SatOptions {
+        SatOptions {
+            conflict_limit: 20_000,
+            propagation_limit: 2_000_000,
+            time_limit: None,
+            loop_time_limit: None,
+            loop_conflict_limit: Some(60_000),
+            max_ops: 64,
+            ..SatOptions::default()
+        }
+    }
+
     /// The same budgets with the internal heuristic fallback disabled.
     /// The degradation ladder runs SAT this way: demotion to the heuristic
     /// is the ladder's job, and keeping the fallback inside SAT would blur

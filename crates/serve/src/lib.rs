@@ -28,7 +28,7 @@ pub mod server;
 pub mod store;
 
 pub use admission::{Admission, AdmissionOptions, Permit};
-pub use bench::{saturate, shard_compare, PhaseLatency, SaturationReport, ShardCompare};
+pub use bench::{saturate, PhaseLatency, SaturationReport};
 pub use chaos::{service_chaos, ServiceChaosReport};
 pub use client::Client;
 pub use proto::{
@@ -36,7 +36,6 @@ pub use proto::{
     ProtoError, RequestBatch, ResponseBatch, WireChoice, MAGIC, MAX_FRAME, VERSION,
 };
 pub use server::{
-    code_fingerprint, quick_ladder_options, quick_most_options, ServeStats, Server, ServerHandle,
-    ServerOptions,
+    code_fingerprint, quick_ladder_options, ServeStats, Server, ServerHandle, ServerOptions,
 };
 pub use store::{write_atomic, DiskStore, Lookup, StoreStats};

@@ -42,43 +42,20 @@ use crate::proto::{
 };
 use crate::store::{DiskStore, Lookup, StoreStats};
 
-/// Deterministic quick-effort MOST budgets: the service's rung-0
-/// configuration. No wall-clock limit appears here — a served result
-/// must be reproducible on any host, or the disk store could never
-/// return it. Per-request deadlines are layered on top (and those
-/// results are then transient by the cache's own rules).
-pub fn quick_most_options() -> MostOptions {
-    MostOptions {
-        node_limit: 20_000,
-        pivot_limit: 400_000,
-        time_limit: None,
-        loop_time_limit: None,
-        loop_pivot_limit: Some(1_200_000),
-        max_ops: 64,
-        ..MostOptions::default()
-    }
-}
-
-/// Deterministic quick-effort SAT budgets, mirroring
-/// [`quick_most_options`]: conflict/propagation caps only, no wall
-/// clocks, so a served SAT schedule replays bit-identically anywhere.
+/// The service's SAT budgets, [`SatOptions::quick`]. No wall-clock limit
+/// appears in any service preset — a served result must be reproducible
+/// on any host, or the disk store could never return it. Per-request
+/// deadlines are layered on top (and those results are then transient by
+/// the cache's own rules).
 pub fn quick_sat_options() -> SatOptions {
-    SatOptions {
-        conflict_limit: 20_000,
-        propagation_limit: 2_000_000,
-        time_limit: None,
-        loop_time_limit: None,
-        loop_conflict_limit: Some(60_000),
-        max_ops: 64,
-        ..SatOptions::default()
-    }
+    SatOptions::quick()
 }
 
 /// The service's base ladder: quick deterministic budgets, full gate.
 pub fn quick_ladder_options() -> LadderOptions {
     LadderOptions {
-        most: quick_most_options(),
-        sat: quick_sat_options(),
+        most: MostOptions::quick(),
+        sat: SatOptions::quick(),
         ..LadderOptions::default()
     }
 }
@@ -87,8 +64,8 @@ pub fn quick_ladder_options() -> LadderOptions {
 /// budgets, so the fixed-priority race outcome is host-independent.
 pub fn quick_portfolio_options() -> PortfolioOptions {
     PortfolioOptions {
-        most: quick_most_options(),
-        sat: quick_sat_options(),
+        most: MostOptions::quick(),
+        sat: SatOptions::quick(),
         ..PortfolioOptions::default()
     }
 }
@@ -100,8 +77,6 @@ pub struct ServerOptions {
     pub socket: PathBuf,
     /// Root of the persistent store; `None` disables persistence.
     pub store_dir: Option<PathBuf>,
-    /// Shard count for the in-memory cache; 0 = default.
-    pub cache_shards: usize,
     /// Admission tunables.
     pub admission: AdmissionOptions,
     /// Telemetry collector handler threads install; disabled by default.
@@ -116,7 +91,6 @@ impl ServerOptions {
         ServerOptions {
             socket,
             store_dir: None,
-            cache_shards: 0,
             admission: AdmissionOptions::default(),
             telemetry: Telemetry::disabled(),
             fail_persist_after_tmp: false,
@@ -224,11 +198,7 @@ impl Server {
         let listener = UnixListener::bind(&opts.socket)?;
         let shared = Arc::new(Shared {
             machine,
-            cache: if opts.cache_shards == 0 {
-                ScheduleCache::new()
-            } else {
-                ScheduleCache::with_shards(opts.cache_shards)
-            },
+            cache: ScheduleCache::new(),
             store,
             admission: Admission::new(opts.admission),
             telemetry: opts.telemetry,
@@ -428,7 +398,7 @@ fn scheduler_for(req: &RequestBatch, demotion: u32) -> SchedulerChoice {
             if demotion >= 2 {
                 return SchedulerChoice::Heuristic;
             }
-            let mut most = quick_most_options();
+            let mut most = MostOptions::quick();
             if demotion == 1 {
                 most.loop_pivot_limit = Some(100_000);
                 most.pivot_limit = most.pivot_limit.min(100_000);
@@ -443,7 +413,7 @@ fn scheduler_for(req: &RequestBatch, demotion: u32) -> SchedulerChoice {
             if demotion >= 2 {
                 return SchedulerChoice::Heuristic;
             }
-            let mut sat = quick_sat_options();
+            let mut sat = SatOptions::quick();
             if demotion == 1 {
                 sat.loop_conflict_limit = Some(15_000);
                 sat.conflict_limit = sat.conflict_limit.min(5_000);

@@ -34,14 +34,8 @@ fn quick_sat() -> SatOptions {
 
 fn quick_most() -> swp_most::MostOptions {
     swp_most::MostOptions {
-        node_limit: 20_000,
-        pivot_limit: 400_000,
-        time_limit: None,
-        loop_time_limit: None,
-        loop_pivot_limit: Some(1_200_000),
-        max_ops: 64,
         fallback: false,
-        ..swp_most::MostOptions::default()
+        ..swp_most::MostOptions::quick()
     }
 }
 
@@ -127,13 +121,8 @@ fn params_strategy() -> impl Strategy<Value = (GenParams, u64)> {
 // below reproduce exactly on any host (and minimize cleanly).
 fn counted_sat() -> SatOptions {
     SatOptions {
-        conflict_limit: 20_000,
-        propagation_limit: 2_000_000,
-        time_limit: None,
-        loop_time_limit: None,
-        loop_conflict_limit: Some(60_000),
         fallback: false,
-        ..SatOptions::default()
+        ..SatOptions::quick()
     }
 }
 
