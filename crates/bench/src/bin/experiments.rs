@@ -10,8 +10,9 @@
 //! ii-compare solver ablation-order ablation-iisearch ablation-spill
 //! speedup all audit chaos portfolio profile bench opt serve-bench
 //! serve-chaos serve-smoke`. No command means `all`. An unknown command,
-//! or a `--threads`/`--clients` value that is not a number, prints the
-//! usage to stderr and exits 2.
+//! a `--threads`/`--clients` value that is not a number, or a
+//! `--clients` count of 0 or above 4× the available parallelism, prints
+//! the usage to stderr and exits 2.
 //!
 //! `opt` (not part of `all`) runs every suite loop (plus the Livermore
 //! kernels) through the mid-end pass pipeline, translation-validating
@@ -32,14 +33,14 @@
 //! fault, an unrescued loop, an unstructured crash) exits nonzero, which
 //! is how CI proves the ladder catches what it claims.
 //!
-//! `portfolio` (not part of `all`) races ILP, SAT, and the heuristic on
-//! every figure suite plus the Livermore kernels under the quick
-//! deterministic budgets, printing per-backend win counts, SAT-vs-ILP
-//! II parity, and standalone-vs-raced wall clocks; with `-D` a violated
-//! floor (SAT below 20/24 Livermore II matches, any determinism
-//! violation, a race slower than the slowest backend plus dispatch
-//! overhead) exits nonzero, which is how CI holds the third backend and
-//! the racing layer to their claims.
+//! `portfolio` (not part of `all`) runs the portfolio (ILP, then SAT,
+//! then the heuristic, first success ships) on every figure suite plus
+//! the Livermore kernels under the quick deterministic budgets, printing
+//! per-backend win counts, SAT-vs-ILP II parity, and standalone-vs-
+//! portfolio wall clocks; with `-D` a violated floor (SAT below 20/24
+//! Livermore II matches, any determinism violation, a portfolio slower
+//! than the slowest backend plus dispatch overhead) exits nonzero, which
+//! is how CI holds the third backend and the portfolio to their claims.
 //!
 //! `solver` (not part of `all`) prints MOST's deterministic node/pivot
 //! work counters over the Livermore kernels; with `--gate` it exits
@@ -138,6 +139,17 @@ fn numeric_flag(args: &[String], flag: &str) -> Option<usize> {
     match args.get(i + 1).map(|v| v.parse::<usize>()) {
         Some(Ok(n)) => Some(n),
         _ => usage_error(&format!("{flag} needs a non-negative integer")),
+    }
+}
+
+/// Check a `--clients` count: each client also occupies a server handler
+/// thread, so zero clients (which would time nothing) and more than `max`
+/// are usage errors.
+fn client_count(n: usize, max: usize) -> Result<usize, String> {
+    if (1..=max).contains(&n) {
+        Ok(n)
+    } else {
+        Err(format!("--clients must be between 1 and {max}"))
     }
 }
 
@@ -589,7 +601,7 @@ fn main() {
 
     if cmd == "portfolio" {
         let deny = args.iter().any(|a| a == "-D" || a == "--deny");
-        println!("== Portfolio: ILP vs SAT vs heuristic, raced per loop ==");
+        println!("== Portfolio: ILP, then SAT, then heuristic, per loop ==");
         println!(
             "{:<12} {:>5} {:>4} {:>4} {:>4} {:>4} {:>7} {:>6} {:>9} {:>9} {:>9} {:>9}",
             "suite",
@@ -600,7 +612,7 @@ fn main() {
             "none",
             "sat=ilp",
             "viols",
-            "race(ms)",
+            "port(ms)",
             "ilp(ms)",
             "sat(ms)",
             "heur(ms)"
@@ -740,7 +752,9 @@ fn main() {
             .iter()
             .position(|a| a == "--json")
             .and_then(|i| args.get(i + 1));
-        let clients = numeric_flag(&args, "--clients").unwrap_or(8);
+        let clients = numeric_flag(&args, "--clients").map_or(8, |n| {
+            client_count(n, Driver::max_threads()).unwrap_or_else(|e| usage_error(&e))
+        });
         println!("== Serve bench: saturation (cold/warm/restart) ==");
         let root = serve_root("bench");
         let sat = swp_serve::saturate(&m, clients, &root)
@@ -900,4 +914,18 @@ fn serve_bench_json(sat: &swp_serve::SaturationReport) -> String {
     w.end_object();
     w.end_object();
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn client_counts_are_bounded_on_both_sides() {
+        assert!(client_count(0, 8).is_err());
+        assert_eq!(client_count(1, 8), Ok(1));
+        assert_eq!(client_count(8, 8), Ok(8));
+        assert!(client_count(9, 8).is_err());
+        assert!(client_count(usize::MAX, Driver::max_threads()).is_err());
+    }
 }

@@ -838,32 +838,33 @@ pub fn chaos_rung_usage(rows: &[ChaosRow]) -> [usize; 5] {
 }
 
 /// One row of the `experiments portfolio` table: one suite (or the
-/// Livermore kernel set) raced loop-by-loop, with every backend also
-/// timed standalone under the same deterministic quick budgets.
+/// Livermore kernel set) compiled loop-by-loop by the portfolio, with
+/// every backend also timed standalone under the same deterministic
+/// quick budgets.
 #[derive(Debug, Clone)]
 pub struct PortfolioRow {
     /// Suite name (`livermore` is the kernel set).
     pub name: String,
-    /// Loops raced.
+    /// Loops compiled.
     pub loops: usize,
-    /// Races the ILP backend won (highest priority).
+    /// Loops the ILP backend won (highest priority).
     pub ilp_wins: usize,
-    /// Races the SAT backend won (ILP failed within budget).
+    /// Loops the SAT backend won (ILP failed within budget).
     pub sat_wins: usize,
-    /// Races the heuristic won (both optimal backends failed).
+    /// Loops the heuristic won (both optimal backends failed).
     pub heur_wins: usize,
-    /// Races every backend lost (portfolio error).
+    /// Loops every backend failed (portfolio error).
     pub no_winner: usize,
     /// Loops where both optimal backends succeeded standalone *and* SAT
     /// achieved ILP's II — the optimality-parity tally.
     pub sat_ii_matches: usize,
     /// Loops where both optimal backends succeeded standalone.
     pub both_optimal: usize,
-    /// Races whose shipped code differed from the standalone result of
+    /// Loops whose shipped code differed from the standalone result of
     /// the backend that should win by fixed priority. Must be zero: the
-    /// race is deterministic by construction.
+    /// portfolio is deterministic by construction.
     pub determinism_violations: usize,
-    /// Wall time of the races.
+    /// Wall time of the portfolio compiles.
     pub portfolio_wall: Duration,
     /// Standalone wall time, ILP backend (no fallback).
     pub ilp_wall: Duration,
@@ -876,9 +877,8 @@ pub struct PortfolioRow {
 /// The `experiments portfolio` sweep: every SPEC-like figure suite plus
 /// the Livermore kernels, each loop compiled four ways under the quick
 /// deterministic budgets — each backend standalone (fallbacks off, so a
-/// backend's failure is its own), then the three-way race. Standalone
-/// compiles run sequentially and uncached so the wall clocks mean
-/// something; the race's parallelism is internal to [`showdown::compile_portfolio`].
+/// backend's failure is its own), then the portfolio. Every compile
+/// runs sequentially and uncached so the wall clocks mean something.
 pub fn portfolio_sweep(machine: &Machine) -> Vec<PortfolioRow> {
     let driver = Driver::uncached(1);
     let mut sweeps: Vec<(String, Vec<swp_ir::Loop>)> = vec![(
@@ -898,7 +898,7 @@ pub fn portfolio_sweep(machine: &Machine) -> Vec<PortfolioRow> {
         opt: OptLevel::Off,
         telemetry: Telemetry::disabled(),
     };
-    let race = SchedulerChoice::PortfolioWith(Box::new(showdown::PortfolioOptions {
+    let portfolio = SchedulerChoice::PortfolioWith(Box::new(showdown::PortfolioOptions {
         most: Effort::Quick.most_options(),
         sat: Effort::Quick.sat_options(),
         ..showdown::PortfolioOptions::default()
@@ -939,14 +939,14 @@ pub fn portfolio_sweep(machine: &Machine) -> Vec<PortfolioRow> {
                     |r| &mut r.sat_wall,
                 );
                 let heur = timed(SchedulerChoice::Heuristic, |r| &mut r.heur_wall);
-                let raced = timed(race.clone(), |r| &mut r.portfolio_wall);
+                let shipped = timed(portfolio.clone(), |r| &mut r.portfolio_wall);
 
                 if let (Ok(i), Ok(s)) = (&ilp, &sat) {
                     row.both_optimal += 1;
                     row.sat_ii_matches += usize::from(s.stats.ii == i.stats.ii);
                 }
                 // The backend that must win: highest fixed priority whose
-                // standalone run succeeded. The race must ship its code.
+                // standalone run succeeded. The portfolio must ship its code.
                 let expected = [
                     (&ilp, showdown::Rung::Ilp),
                     (&sat, showdown::Rung::Sat),
@@ -954,7 +954,7 @@ pub fn portfolio_sweep(machine: &Machine) -> Vec<PortfolioRow> {
                 ]
                 .into_iter()
                 .find_map(|(r, rung)| r.as_ref().ok().map(|c| (c, rung)));
-                match (&raced, expected) {
+                match (&shipped, expected) {
                     (Ok(p), Some((standalone, rung))) => {
                         match rung {
                             showdown::Rung::Ilp => row.ilp_wins += 1,
@@ -966,7 +966,7 @@ pub fn portfolio_sweep(machine: &Machine) -> Vec<PortfolioRow> {
                         }
                     }
                     (Err(_), None) => row.no_winner += 1,
-                    // A race that disagrees with the standalone runs about
+                    // A portfolio that disagrees with the standalone runs about
                     // whether the loop compiles at all is also a violation.
                     _ => row.determinism_violations += 1,
                 }
@@ -976,10 +976,11 @@ pub fn portfolio_sweep(machine: &Machine) -> Vec<PortfolioRow> {
         .collect()
 }
 
-/// The `experiments portfolio -D` wall gate: racing three backends in
-/// parallel must cost about as much wall time as the slowest backend
-/// alone — never the sum of all three. The 50% + 500ms allowance
-/// absorbs racer spawn/join and scheduler jitter on loaded CI hosts.
+/// The `experiments portfolio -D` wall gate: the portfolio stops at the
+/// first success, so it must cost about as much wall time as the slowest
+/// backend alone — never the sum of all three. The 50% + 500ms allowance
+/// absorbs the lower backends tried after an optimal failure and
+/// scheduler jitter on loaded CI hosts.
 pub fn portfolio_wall_gate(rows: &[PortfolioRow]) -> bool {
     let raced: Duration = rows.iter().map(|r| r.portfolio_wall).sum();
     let slowest: Duration = rows
@@ -1741,12 +1742,12 @@ pub fn profile_workload(machine: &Machine, threads: usize) -> ProfileReport {
     );
     loops += 1;
 
-    // Portfolio races with backend subsets, so every winner counter
-    // fires: the full race (ILP outranks everyone), an `max_ops: 0`
-    // handicap that disqualifies ILP (SAT wins), and a heuristic-only
-    // field. Racer threads are collector-free by design; the race
-    // counters land here because the calling thread keeps the handle.
-    let race = |use_ilp: bool, use_sat: bool, most_max_ops: usize| CompileOptions {
+    // Portfolios with backend subsets, so every winner counter fires: the
+    // full portfolio (ILP outranks everyone), an `max_ops: 0` handicap
+    // that disqualifies ILP (SAT wins), and a heuristic-only one. The
+    // backends run on the calling thread, so their work counters land
+    // here next to the portfolio's own.
+    let portfolio = |use_ilp: bool, use_sat: bool, most_max_ops: usize| CompileOptions {
         choice: SchedulerChoice::PortfolioWith(Box::new(showdown::PortfolioOptions {
             use_ilp,
             use_sat,
@@ -1763,9 +1764,9 @@ pub fn profile_workload(machine: &Machine, threads: usize) -> ProfileReport {
         telemetry: telemetry.clone(),
     };
     for options in [
-        race(true, true, 64),
-        race(true, true, 0),
-        race(false, false, 64),
+        portfolio(true, true, 64),
+        portfolio(true, true, 0),
+        portfolio(false, false, 64),
     ] {
         let _ = driver.compile_with(&kernels[0].body, machine, &options);
         loops += 1;

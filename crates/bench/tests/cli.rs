@@ -31,3 +31,8 @@ fn non_numeric_counts_exit_2_with_usage() {
     assert_usage_error(&["fig2", "--threads"]);
     assert_usage_error(&["serve-bench", "--clients", "-1"]);
 }
+
+#[test]
+fn zero_clients_exit_2_with_usage() {
+    assert_usage_error(&["serve-bench", "--clients", "0"]);
+}

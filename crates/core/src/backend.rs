@@ -1,5 +1,5 @@
 //! The scheduling core. Every compile path — a direct compile, a ladder
-//! rung, a portfolio racer — runs its scheduler through [`schedule`] and
+//! rung, a portfolio backend — runs its scheduler through [`schedule`] and
 //! turns the product into a [`CompiledLoop`] through [`finish`], so each
 //! engine has exactly one call site and the compile statistics have
 //! exactly one constructor.
@@ -92,8 +92,8 @@ impl Scheduled {
 }
 
 /// Run one backend on `lp`. Nothing is expanded and nothing but the
-/// backend's own telemetry is recorded, so a racer thread may call this
-/// and leave [`finish`] to the thread that ships the result.
+/// backend's own telemetry is recorded, so the portfolio may try several
+/// backends and [`finish`] only the one it ships.
 ///
 /// # Errors
 ///

@@ -171,10 +171,6 @@ fn fold_heur_options(h: &mut StableHasher, opts: &HeurOptions) {
         enable_spilling,
         two_phase_search,
         explore_stalls,
-        // Like telemetry, cancellation cannot change what a *completed*
-        // search produced, and a cancelled one is never memoized (see
-        // [`is_transient`]).
-        cancel: _,
     } = opts;
     h.byte(b'H');
     h.u64(heuristics.len() as u64);
@@ -225,8 +221,6 @@ fn fold_sat_options(h: &mut StableHasher, opts: &SatOptions) {
         loop_time_limit,
         loop_conflict_limit,
         max_ops,
-        // Excluded for the same reason as the heuristic's token.
-        cancel: _,
     } = opts;
     h.byte(b'S');
     h.u64(*conflict_limit);
@@ -415,11 +409,6 @@ fn is_transient(result: &Result<Arc<CompiledLoop>, CompileError>) -> bool {
         // attempted, so a deadline-demoted (hence host-dependent) win on a
         // lower rung is covered by this same arm.
         Ok(c) => c.stats.deadline_hit,
-        // A cancelled heuristic search (a losing portfolio racer, or a
-        // caller-owned token) was truncated by something other than its
-        // deterministic budgets — never memoize it.
-        Err(CompileError::Heuristic(swp_heur::PipelineError::Cancelled)) => true,
-        Err(CompileError::LadderExhausted { attempts }) => attempts.iter().any(|a| a.deadline_hit),
         Err(e) => e.deadline_hit(),
     }
 }
@@ -1076,21 +1065,7 @@ mod tests {
                 "{tweaked:?} aliased the default"
             );
         }
-        // …while the cancel token, like telemetry, must NOT: observing or
-        // aborting a compile never changes its identity.
-        let token = swp_obs::CancelToken::new();
-        assert_eq!(
-            base,
-            cache_key(
-                &lp,
-                &m,
-                &SchedulerChoice::SatWith(SatOptions {
-                    cancel: token,
-                    ..SatOptions::default()
-                })
-            )
-        );
-        // Portfolio backend subsets and racer budgets separate too.
+        // Portfolio backend subsets and budgets separate too.
         let pbase = cache_key(&lp, &m, &SchedulerChoice::Portfolio);
         for tweaked in [
             PortfolioOptions {

@@ -37,10 +37,8 @@ pub enum SchedulerChoice {
     /// The degradation ladder with explicit options (boxed: ladder
     /// options carry every scheduler's configuration plus a chaos plan).
     LadderWith(Box<LadderOptions>),
-    /// Race the enabled backends on scoped threads and ship the
-    /// highest-priority success (ILP > SAT > heuristic), with default
-    /// options. Deterministic: the winner is chosen by fixed priority at
-    /// join, never by wall clock.
+    /// Try the enabled backends in priority order (ILP > SAT >
+    /// heuristic) and ship the first success, with default options.
     Portfolio,
     /// The portfolio with explicit options (boxed: it carries all three
     /// backends' configurations).
@@ -55,7 +53,7 @@ pub(crate) enum Plan<'a> {
     Direct(Backend<'a>),
     /// The degradation ladder.
     Ladder(Cow<'a, LadderOptions>),
-    /// The portfolio race.
+    /// The portfolio.
     Portfolio(Cow<'a, PortfolioOptions>),
 }
 
@@ -238,19 +236,16 @@ impl std::fmt::Display for CompileError {
 impl std::error::Error for CompileError {}
 
 impl CompileError {
-    /// Whether a wall-clock deadline truncated the failed search, so the
-    /// failure depends on host load rather than on the request.
+    /// Whether a wall-clock deadline truncated the failed search (for an
+    /// exhausted ladder: any rung's), so the failure depends on host load
+    /// rather than on the request.
     pub(crate) fn deadline_hit(&self) -> bool {
-        matches!(
-            self,
-            CompileError::Ilp(MostError::NoSchedule {
-                deadline_hit: true,
-                ..
-            }) | CompileError::Sat(SatError::NoSchedule {
-                deadline_hit: true,
-                ..
-            })
-        )
+        match self {
+            CompileError::Ilp(MostError::NoSchedule { deadline_hit, .. })
+            | CompileError::Sat(SatError::NoSchedule { deadline_hit, .. }) => *deadline_hit,
+            CompileError::LadderExhausted { attempts } => attempts.iter().any(|a| a.deadline_hit),
+            _ => false,
+        }
     }
 }
 
@@ -434,9 +429,8 @@ fn opt_deadline(plan: &Plan<'_>) -> Option<Instant> {
         Plan::Direct(Backend::Ilp(most)) => most.loop_time_limit.or(most.time_limit),
         Plan::Direct(Backend::Sat(sat)) => sat.loop_time_limit.or(sat.time_limit),
         Plan::Ladder(opts) => opts.most.loop_time_limit.or(opts.most.time_limit),
-        // The portfolio's wall budget is its highest-priority racer's:
-        // the ILP racer cannot be cancelled, so its allowance bounds the
-        // race.
+        // The portfolio runs ILP first, so ILP's allowance bounds the
+        // mid-end, as on the ladder.
         Plan::Portfolio(opts) => opts.most.loop_time_limit.or(opts.most.time_limit),
     };
     budget.map(|d| Instant::now() + d)

@@ -13,7 +13,7 @@
 //!   [`swp_ilp`] simplex/branch-and-bound solver, with the study's three
 //!   adjustments and the heuristic pipeliner as fallback;
 //! - [`swp_sat`]: a third optimal backend — a CDCL difference-logic
-//!   scheduler searching MOST's horizon, raced against the other two by
+//!   scheduler searching MOST's horizon, tried between the other two by
 //!   [`SchedulerChoice::Portfolio`];
 //! - [`swp_machine`]/[`swp_sim`]: an R8000-like machine model and a
 //!   cycle-accurate simulator including the two-banked cache and its
@@ -79,7 +79,7 @@ pub use suite::{
     SuiteAudit, SuiteLadder, SuiteResult,
 };
 pub use swp_ir::{OptFinding, OptLevel, OptOutcome, PassManager};
-pub use swp_obs::{CancelToken, Counter, CounterSnapshot, Histo, HistogramSnapshot, Telemetry};
+pub use swp_obs::{Counter, CounterSnapshot, Histo, HistogramSnapshot, Telemetry};
 pub use swp_verify::{Finding, Severity, VerifyLevel, VerifyReport};
 
 // Re-export the component crates so downstream users need one dependency.

@@ -87,20 +87,27 @@ impl Drop for ThreadsHintGuard {
 }
 
 impl Driver {
+    /// The most threads a user-supplied count may start: 4× the available
+    /// parallelism, so a typo cannot fork-bomb the host. It clamps
+    /// `SWP_THREADS` and bounds the serve benchmark's `--clients`.
+    pub fn max_threads() -> usize {
+        std::thread::available_parallelism()
+            .map_or(1, NonZeroUsize::get)
+            .saturating_mul(4)
+    }
+
     /// The default worker count: `SWP_THREADS` when set to a positive
-    /// integer (clamped to at most 4× the available parallelism, so a
-    /// typo cannot fork-bomb the host), otherwise
+    /// integer (clamped to [`Driver::max_threads`]), otherwise
     /// [`std::thread::available_parallelism`]. Replaces ad-hoc defaults
     /// so every entry point (driver, experiments binary, compile
     /// service) resolves threads the same way.
     pub fn default_threads() -> usize {
-        let avail = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         match std::env::var("SWP_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
         {
-            Some(n) if n > 0 => n.min(avail.saturating_mul(4)),
-            _ => avail,
+            Some(n) if n > 0 => n.min(Driver::max_threads()),
+            _ => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
         }
     }
 

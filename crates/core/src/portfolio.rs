@@ -1,60 +1,47 @@
-//! Portfolio racing: run the backends concurrently, ship the best.
+//! Portfolio: try the backends in priority order, ship the first success.
 //!
-//! The paper's production tension is optimal-but-slow (MOST) versus
-//! fast-but-heuristic (§2); the ladder resolves it *sequentially* by
-//! demotion. The portfolio resolves it in *wall-clock* terms: every
-//! enabled backend races on its own scoped thread, and as soon as a
-//! backend succeeds, every **strictly lower-priority** racer is
-//! cooperatively cancelled — their results can no longer matter.
+//! The paper's production arrangement is sequential (§4.4): MOST runs
+//! under a limit, and the heuristic pipeliner runs only if MOST fails.
+//! The portfolio generalises it to the ladder's first three rungs — ILP,
+//! then SAT, then the heuristic, each with its internal fallback off,
+//! because the next backend *is* the fallback — and stops at the first
+//! success. It has no verify gate, escalation or sequential last resort;
+//! that is the ladder's job.
 //!
-//! Determinism is the load-bearing property. The winner is chosen by
-//! fixed backend priority (ILP > SAT > heuristic) **at join**, never by
-//! completion order, and a backend may only be cancelled once a
-//! higher-priority backend has already succeeded — at which point its own
-//! outcome is irrelevant to both the winner and the all-fail error. ILP,
-//! the highest priority, is never cancelled at all. Consequently the
-//! shipped code is bit-identical across hosts, driver thread counts, and
-//! scheduling jitter (up to the backends' own wall-clock budgets, which
-//! taint results via `deadline_hit` exactly as in direct compiles).
-//!
-//! Racer threads are fresh scoped threads and therefore carry **no**
-//! thread-local telemetry collector: losers record nothing, so counters
-//! cannot leak nondeterministic work measures. The calling thread records
-//! the race-level counters (`portfolio.races`, `portfolio.winner.*`,
-//! `portfolio.cancellations`) and finishes the winning schedule itself.
+//! The winner is decided by fixed priority alone (ILP > SAT > heuristic),
+//! so the shipped code is bit-identical across hosts and driver thread
+//! counts, up to the backends' own wall-clock budgets, which taint
+//! results via `deadline_hit` exactly as in direct compiles. Everything
+//! runs on the calling thread, so the backends' counters and spans land
+//! on the caller's telemetry collector, next to the portfolio's own
+//! (`portfolio.races`, `portfolio.winner.*`).
 
-use crate::backend::{finish, schedule, Backend, Scheduled};
+use crate::backend::{finish, schedule, Backend};
 use crate::compile::{CompileError, CompiledLoop};
 use crate::ladder::Rung;
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex};
 use swp_heur::HeurOptions;
 use swp_ir::Loop;
 use swp_machine::Machine;
 use swp_most::MostOptions;
-use swp_obs::CancelToken;
 use swp_sat::SatOptions;
 
-/// Configuration of one portfolio race.
-///
-/// The `cancel` fields inside [`SatOptions`] and [`HeurOptions`] are
-/// overridden for the racers: the portfolio owns their cancellation. The
-/// ILP racer cannot be cancelled at all.
+/// Configuration of one portfolio compile.
 #[derive(Debug, Clone)]
 pub struct PortfolioOptions {
-    /// Race the MOST ILP backend (priority 0, never cancelled).
+    /// Try the MOST ILP backend (priority 0).
     pub use_ilp: bool,
-    /// Race the CDCL SAT backend (priority 1).
+    /// Try the CDCL SAT backend (priority 1).
     pub use_sat: bool,
-    /// Race the heuristic pipeliner (priority 2).
+    /// Try the heuristic pipeliner (priority 2).
     pub use_heur: bool,
-    /// ILP racer budgets (internal fallback forced off; the heuristic
-    /// racer plays that role).
+    /// ILP budgets (internal fallback forced off; the lower-priority
+    /// backends play that role).
     pub most: MostOptions,
-    /// SAT racer budgets (internal fallback forced off, ditto).
+    /// SAT budgets (internal fallback forced off, ditto).
     pub sat: SatOptions,
-    /// Heuristic racer budgets.
+    /// Heuristic budgets.
     pub heur: HeurOptions,
 }
 
@@ -71,58 +58,41 @@ impl Default for PortfolioOptions {
     }
 }
 
-/// The racers, in priority order (lower index wins at join): the rungs
-/// the ladder would try one by one, with internal fallbacks off — the
-/// heuristic racer *is* the fallback, running concurrently — and the
-/// cancellable backends wired to their racer's token.
-fn racers(opts: &PortfolioOptions) -> Vec<(Rung, Backend<'_>, CancelToken)> {
-    let mut racers = Vec::new();
+/// The enabled backends in priority order: the rungs the ladder would
+/// try first, with internal fallbacks off.
+fn backends(opts: &PortfolioOptions) -> Vec<(Rung, Backend<'_>)> {
+    let mut backends = Vec::new();
     if opts.use_ilp {
         let most = opts.most.without_fallback();
-        racers.push((
-            Rung::Ilp,
-            Backend::Ilp(Cow::Owned(most)),
-            CancelToken::never(),
-        ));
+        backends.push((Rung::Ilp, Backend::Ilp(Cow::Owned(most))));
     }
     if opts.use_sat {
-        let cancel = CancelToken::new();
-        let sat = SatOptions {
-            cancel: cancel.clone(),
-            ..opts.sat.without_fallback()
-        };
-        racers.push((Rung::Sat, Backend::Sat(Cow::Owned(sat)), cancel));
+        let sat = opts.sat.without_fallback();
+        backends.push((Rung::Sat, Backend::Sat(Cow::Owned(sat))));
     }
     if opts.use_heur {
-        let cancel = CancelToken::new();
-        let heur = HeurOptions {
-            cancel: cancel.clone(),
-            ..opts.heur.clone()
-        };
-        racers.push((
+        backends.push((
             Rung::Heuristic,
-            Backend::Heuristic(Cow::Owned(heur)),
-            cancel,
+            Backend::Heuristic(Cow::Borrowed(&opts.heur)),
         ));
     }
-    racers
+    backends
 }
 
-/// Race the enabled backends and ship the highest-priority success.
+/// Try the enabled backends in priority order and ship the first success.
 ///
 /// # Errors
 ///
-/// When every racer fails, the highest-priority enabled backend's error
-/// is returned (deterministic: an all-fail race by construction involved
-/// no cancellation). [`CompileError::Internal`] when no backend is
-/// enabled or a racer panicked and won by default.
+/// When every backend fails, the highest-priority backend's error is
+/// returned. [`CompileError::Internal`] when no backend is enabled, or
+/// when the top-priority backend panicked and none below it succeeded.
 pub fn compile_portfolio(
     lp: &Loop,
     machine: &Machine,
     opts: &PortfolioOptions,
 ) -> Result<CompiledLoop, CompileError> {
-    let racers = racers(opts);
-    if racers.is_empty() {
+    let backends = backends(opts);
+    if backends.is_empty() {
         return Err(CompileError::Internal {
             rung: None,
             message: "portfolio: no backends enabled".to_owned(),
@@ -131,91 +101,52 @@ pub fn compile_portfolio(
     swp_obs::count(swp_obs::Counter::PortfolioRaces, 1);
     let _span = swp_obs::span("portfolio")
         .with_s("loop", lp.name())
-        .with_i("backends", racers.len() as i64);
+        .with_i("backends", backends.len() as i64);
 
-    let slots: Vec<Mutex<Option<Result<Scheduled, CompileError>>>> =
-        racers.iter().map(|_| Mutex::new(None)).collect();
-    let mut cancellations = 0u64;
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, bool)>();
-        for (i, (rung, backend, _)) in racers.iter().enumerate() {
-            let tx = tx.clone();
-            let slots = &slots;
-            s.spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| schedule(backend, lp, machine)))
-                    .unwrap_or_else(|payload| {
-                        Err(CompileError::Internal {
-                            rung: Some(*rung),
-                            message: crate::ladder::panic_message(payload.as_ref()),
-                        })
-                    });
-                let ok = result.is_ok();
-                *slots[i].lock().expect("racer slot lock") = Some(result);
-                // The scope owns the receiver's lifetime; a racer outliving
-                // it is impossible, so a send failure is, too.
-                let _ = tx.send((i, ok));
+    let mut top_error = None;
+    // A deadline-truncated failure above the winner makes which backend
+    // won host-dependent; taint the result so the cache skips it.
+    let mut outranked_by_deadline = false;
+    for (rung, backend) in &backends {
+        let result = catch_unwind(AssertUnwindSafe(|| schedule(backend, lp, machine)))
+            .unwrap_or_else(|payload| {
+                Err(CompileError::Internal {
+                    rung: Some(*rung),
+                    message: crate::ladder::panic_message(payload.as_ref()),
+                })
             });
-        }
-        drop(tx);
-        // As success notifications arrive, cancel every racer that can no
-        // longer win. Completion *order* only affects how early losers
-        // stop burning cycles — never which backend wins.
-        let mut cancelled = vec![false; racers.len()];
-        while let Ok((i, ok)) = rx.recv() {
-            if !ok {
-                continue;
+        match result {
+            Ok(scheduled) => {
+                swp_obs::count(
+                    match rung {
+                        Rung::Ilp => swp_obs::Counter::PortfolioWinnerIlp,
+                        Rung::Sat => swp_obs::Counter::PortfolioWinnerSat,
+                        _ => swp_obs::Counter::PortfolioWinnerHeuristic,
+                    },
+                    1,
+                );
+                let winner_span = swp_obs::span("portfolio.winner").with_s("backend", rung.name());
+                let mut compiled = finish(scheduled);
+                drop(winner_span);
+                compiled.stats.deadline_hit |= outranked_by_deadline;
+                compiled.rung = Some(*rung);
+                return Ok(compiled);
             }
-            for (j, c) in cancelled.iter_mut().enumerate().skip(i + 1) {
-                if !*c {
-                    *c = true;
-                    racers[j].2.cancel();
-                    cancellations += 1;
-                }
+            Err(e) => {
+                outranked_by_deadline |= e.deadline_hit();
+                top_error.get_or_insert(e);
             }
         }
-    });
-    swp_obs::count(swp_obs::Counter::PortfolioCancellations, cancellations);
-
-    let mut results: Vec<Result<Scheduled, CompileError>> = slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("racer slot lock")
-                .expect("scope joined, so every racer reported")
-        })
-        .collect();
-    let Some(w) = results.iter().position(Result::is_ok) else {
-        // All failed ⇒ nothing was ever cancelled ⇒ every error is as
-        // deterministic as its backend; report the highest-priority one.
-        return results.swap_remove(0).map(finish);
-    };
-    // A deadline-truncated failure *above* the winner makes which backend
-    // won host-dependent; taint the result so the cache skips it (losers
-    // below the winner were cancelled or outranked — irrelevant).
-    let outranked_by_deadline = results[..w]
-        .iter()
-        .any(|r| r.as_ref().is_err_and(CompileError::deadline_hit));
-    let rung = racers[w].0;
-    swp_obs::count(
-        match rung {
-            Rung::Ilp => swp_obs::Counter::PortfolioWinnerIlp,
-            Rung::Sat => swp_obs::Counter::PortfolioWinnerSat,
-            _ => swp_obs::Counter::PortfolioWinnerHeuristic,
-        },
-        1,
-    );
-    let winner_span = swp_obs::span("portfolio.winner").with_s("backend", rung.name());
-    let mut compiled = finish(results.swap_remove(w).expect("winner is Ok"));
-    drop(winner_span);
-    compiled.stats.deadline_hit |= outranked_by_deadline;
-    compiled.rung = Some(rung);
-    Ok(compiled)
+    }
+    Err(top_error.expect("at least one backend ran"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::{compile_loop, SchedulerChoice};
     use swp_ir::LoopBuilder;
+    use swp_obs::{Counter, Telemetry};
 
     fn saxpy() -> Loop {
         let mut b = LoopBuilder::new("saxpy");
@@ -229,7 +160,7 @@ mod tests {
         b.finish()
     }
 
-    /// Deterministic racer budgets: work measures only, no wall clocks.
+    /// Deterministic budgets: work measures only, no wall clocks.
     fn quick() -> PortfolioOptions {
         PortfolioOptions {
             most: MostOptions::quick(),
@@ -238,52 +169,97 @@ mod tests {
         }
     }
 
+    /// ILP disqualified (`max_ops: 0`, fallback off), so SAT wins.
+    fn ilp_handicapped() -> PortfolioOptions {
+        PortfolioOptions {
+            most: MostOptions {
+                max_ops: 0,
+                ..MostOptions::quick()
+            },
+            ..quick()
+        }
+    }
+
+    fn heuristic_only() -> PortfolioOptions {
+        PortfolioOptions {
+            use_ilp: false,
+            use_sat: false,
+            ..quick()
+        }
+    }
+
     #[test]
     fn ilp_outranks_everyone_when_it_succeeds() {
         let m = Machine::r8000();
-        let c = compile_portfolio(&saxpy(), &m, &quick()).expect("races");
+        let c = compile_portfolio(&saxpy(), &m, &quick()).expect("compiles");
         assert_eq!(c.rung, Some(Rung::Ilp));
         assert!(c.stats.optimal);
     }
 
     #[test]
-    fn winner_is_fixed_priority_not_wall_clock() {
-        // With ILP pushed aside (max_ops 0, fallback off), SAT must win
-        // even though the heuristic almost always finishes first.
+    fn ships_the_first_successful_standalone_backend() {
         let m = Machine::r8000();
-        let opts = PortfolioOptions {
-            most: MostOptions {
-                max_ops: 0,
-                ..quick().most
-            },
-            ..quick()
-        };
-        for _ in 0..3 {
-            let c = compile_portfolio(&saxpy(), &m, &opts).expect("races");
-            assert_eq!(c.rung, Some(Rung::Sat));
+        let lp = saxpy();
+        for (opts, expected) in [
+            (quick(), Rung::Ilp),
+            (ilp_handicapped(), Rung::Sat),
+            (heuristic_only(), Rung::Heuristic),
+        ] {
+            let standalone = [
+                (
+                    opts.use_ilp,
+                    Rung::Ilp,
+                    SchedulerChoice::IlpWith(opts.most.without_fallback()),
+                ),
+                (
+                    opts.use_sat,
+                    Rung::Sat,
+                    SchedulerChoice::SatWith(opts.sat.without_fallback()),
+                ),
+                (
+                    opts.use_heur,
+                    Rung::Heuristic,
+                    SchedulerChoice::HeuristicWith(opts.heur.clone()),
+                ),
+            ]
+            .into_iter()
+            .filter(|(enabled, _, _)| *enabled)
+            .find_map(|(_, rung, choice)| compile_loop(&lp, &m, &choice).ok().map(|c| (rung, c)));
+            let (rung, first) = standalone.expect("some backend schedules saxpy");
+            assert_eq!(rung, expected);
+            let c = compile_portfolio(&lp, &m, &opts).expect("compiles");
+            assert_eq!(c.rung, Some(rung));
+            assert_eq!(c.code, first.code);
         }
     }
 
     #[test]
-    fn subset_portfolio_ships_the_heuristic() {
+    fn backend_work_lands_on_the_callers_collector() {
         let m = Machine::r8000();
-        let opts = PortfolioOptions {
-            use_ilp: false,
-            use_sat: false,
-            ..quick()
+        let counted = |opts: &PortfolioOptions| {
+            let telemetry = Telemetry::new();
+            let _guard = telemetry.install();
+            compile_portfolio(&saxpy(), &m, opts).expect("compiles");
+            telemetry.counters()
         };
-        let c = compile_portfolio(&saxpy(), &m, &opts).expect("races");
-        assert_eq!(c.rung, Some(Rung::Heuristic));
+        let full = counted(&quick());
+        assert!(full.get(Counter::IlpSolves) > 0);
+        assert_eq!(full.get(Counter::PortfolioWinnerIlp), 1);
+
+        let handicapped = counted(&ilp_handicapped());
+        assert!(handicapped.get(Counter::SatPropagations) > 0);
+        assert!(handicapped
+            .iter()
+            .all(|(c, n)| !c.name().starts_with("ilp.") || n == 0));
+        assert_eq!(handicapped.get(Counter::PortfolioWinnerSat), 1);
     }
 
     #[test]
     fn empty_portfolio_is_an_error() {
         let m = Machine::r8000();
         let opts = PortfolioOptions {
-            use_ilp: false,
-            use_sat: false,
             use_heur: false,
-            ..quick()
+            ..heuristic_only()
         };
         assert!(matches!(
             compile_portfolio(&saxpy(), &m, &opts),

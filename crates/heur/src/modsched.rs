@@ -252,9 +252,7 @@ impl<'a> State<'a> {
 /// [`crate::postpass::adjust_pipestages`].
 ///
 /// `budget` caps backtracks; `pairing` enables the §2.9 memory-bank
-/// heuristics. `cancel` is polled once per placement/backtrack step — the
-/// same granularity at which the ILP backend polls its wall-clock deadline
-/// — so a losing portfolio racer abandons the search promptly.
+/// heuristics.
 #[allow(clippy::too_many_arguments)]
 pub fn schedule_at(
     lp: &Loop,
@@ -264,7 +262,6 @@ pub fn schedule_at(
     order: &[OpId],
     budget: u32,
     mut pairing: Option<&mut PairingContext>,
-    cancel: &swp_obs::CancelToken,
     stats: &mut AttemptStats,
 ) -> Option<Vec<i64>> {
     let lpaths = LongestPaths::compute(ddg, ii)?;
@@ -276,9 +273,6 @@ pub fn schedule_at(
     let mut min_cycle: Option<i64> = None;
 
     while i < n {
-        if cancel.is_cancelled() {
-            return None;
-        }
         if st.placed[i].is_some() {
             // Already placed out of order by the pairing hook.
             i += 1;
@@ -469,17 +463,7 @@ mod tests {
         let ddg = Ddg::build(lp, &m);
         let order = priority_list(lp, &ddg, &m, PriorityHeuristic::Fdms);
         let mut stats = AttemptStats::default();
-        schedule_at(
-            lp,
-            &ddg,
-            &m,
-            ii,
-            &order,
-            400,
-            None,
-            &swp_obs::CancelToken::never(),
-            &mut stats,
-        )
+        schedule_at(lp, &ddg, &m, ii, &order, 400, None, &mut stats)
     }
 
     #[test]
@@ -564,17 +548,7 @@ mod tests {
         let min_ii = ddg.min_ii();
         let order = priority_list(&lp, &ddg, &m, PriorityHeuristic::Hms);
         let mut stats = AttemptStats::default();
-        let result = schedule_at(
-            &lp,
-            &ddg,
-            &m,
-            min_ii,
-            &order,
-            1000,
-            None,
-            &swp_obs::CancelToken::never(),
-            &mut stats,
-        );
+        let result = schedule_at(&lp, &ddg, &m, min_ii, &order, 1000, None, &mut stats);
         assert!(
             result.is_some(),
             "budget allows a schedule at MinII={min_ii}"

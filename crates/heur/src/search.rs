@@ -32,13 +32,6 @@ pub struct HeurOptions {
     /// Explore same-II schedules from the other heuristics for lower
     /// predicted memory stalls (§2.9, last paragraph).
     pub explore_stalls: bool,
-    /// Cooperative cancellation, polled once per placement/backtrack step
-    /// (the heuristic's analogue of the ILP backend's per-pivot deadline
-    /// poll). The default token is inert. Like wall-clock budgets — and
-    /// unlike every other field — the token is *not* part of the schedule
-    /// cache key: a cancelled search reports [`PipelineError::Cancelled`],
-    /// which the cache treats as transient and never memoizes.
-    pub cancel: swp_obs::CancelToken,
 }
 
 impl Default for HeurOptions {
@@ -51,7 +44,6 @@ impl Default for HeurOptions {
             enable_spilling: true,
             two_phase_search: true,
             explore_stalls: true,
-            cancel: swp_obs::CancelToken::never(),
         }
     }
 }
@@ -130,11 +122,6 @@ pub enum PipelineError {
         /// The final MaxII bound.
         max_ii: u32,
     },
-    /// The search was cancelled cooperatively (a losing portfolio racer).
-    /// Whether cancellation lands before a schedule is found depends on
-    /// wall clock, so this outcome is host-dependent and the schedule
-    /// cache never memoizes it.
-    Cancelled,
 }
 
 impl std::fmt::Display for PipelineError {
@@ -143,9 +130,6 @@ impl std::fmt::Display for PipelineError {
             PipelineError::EmptyLoop => write!(f, "cannot pipeline an empty loop"),
             PipelineError::NoSchedule { min_ii, max_ii } => {
                 write!(f, "no schedule found in II range [{min_ii}, {max_ii}]")
-            }
-            PipelineError::Cancelled => {
-                write!(f, "search cancelled (losing portfolio racer)")
             }
         }
     }
@@ -211,10 +195,6 @@ pub fn pipeline(
                 });
             }
             Err(alloc_candidates) => {
-                if opts.cancel.is_cancelled() {
-                    flush_stats(&stats);
-                    return Err(PipelineError::Cancelled);
-                }
                 let can_spill = opts.enable_spilling
                     && spill_round < 8
                     && alloc_candidates.as_ref().is_some_and(|c| !c.is_empty());
@@ -364,9 +344,6 @@ fn attempt_at(
     let banked = machine.bank_model().is_some();
 
     for &h in &opts.heuristics {
-        if opts.cancel.is_cancelled() {
-            break;
-        }
         let order = priority_list(body, ddg, machine, h);
         // First try with full pairing, then (on alloc failure with priority
         // churn) with reduced pairing, then without.
@@ -395,7 +372,6 @@ fn attempt_at(
                 &order,
                 opts.backtrack_budget,
                 px.as_mut(),
-                &opts.cancel,
                 &mut attempt,
             );
             stats.backtracks += attempt.backtracks;

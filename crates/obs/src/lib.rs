@@ -21,12 +21,10 @@
 //! deep subsystems (`swp-ilp`, `swp-heur`, `swp-most`, `swp-verify`) emit
 //! through the free functions without knowing who is listening.
 
-mod cancel;
 mod json;
 mod registry;
 mod trace;
 
-pub use cancel::CancelToken;
 pub use json::{parse as parse_json, Value as JsonValue, Writer as JsonWriter};
 pub use registry::{Class, Counter, Histo};
 pub use trace::{validate_chrome_trace, Span};

@@ -91,14 +91,13 @@ counters! {
     SatRestarts => ("sat.restarts", "sat", Exact),
     SatLearnedLiterals => ("sat.learned_literals", "sat", Exact),
     SatFallbacks => ("sat.fallbacks", "sat", Exact),
-    // swp-core portfolio racing. The winner tallies are Exact because the
-    // winner is chosen by fixed backend priority at join, never by wall
-    // clock — identical inputs crown identical winners at any --threads N.
+    // swp-core portfolio. The winner tallies are Exact because the winner
+    // is the first backend to succeed in fixed priority order, never the
+    // fastest — identical inputs crown identical winners at any --threads N.
     PortfolioRaces => ("portfolio.races", "portfolio", Exact),
     PortfolioWinnerIlp => ("portfolio.winner.ilp", "portfolio", Exact),
     PortfolioWinnerSat => ("portfolio.winner.sat", "portfolio", Exact),
     PortfolioWinnerHeuristic => ("portfolio.winner.heuristic", "portfolio", Exact),
-    PortfolioCancellations => ("portfolio.cancellations", "portfolio", Timing),
     // swp-core cache.
     CacheHits => ("cache.hits", "cache", Exact),
     CacheMisses => ("cache.misses", "cache", Exact),

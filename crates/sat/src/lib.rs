@@ -19,9 +19,9 @@
 //! budget. The differential suite holds them to that.
 //!
 //! All budgets that matter are deterministic work measures (conflicts,
-//! propagations); wall clocks and cooperative cancellation exist for
-//! latency control and always confess via `deadline_hit`, which the
-//! schedule cache treats as "do not memoize".
+//! propagations); wall clocks exist for latency control and always
+//! confess via `deadline_hit`, which the schedule cache treats as "do not
+//! memoize".
 //!
 //! # Examples
 //!
@@ -52,7 +52,6 @@ use std::time::{Duration, Instant};
 use swp_heur::HeurOptions;
 use swp_ir::{Ddg, Loop, Schedule};
 use swp_machine::Machine;
-use swp_obs::CancelToken;
 use swp_regalloc::{allocate, AllocOutcome, Allocation};
 
 /// Controls for the SAT pipeliner.
@@ -82,10 +81,6 @@ pub struct SatOptions {
     /// encoding is `O(n · II · kmax)` variables and beyond MOST's
     /// practical ceiling the solves only burn their budgets.
     pub max_ops: usize,
-    /// Cooperative cancellation, polled per conflict (the same granularity
-    /// as `time_limit`). A cancelled search reports `deadline_hit` so the
-    /// schedule cache never memoizes it. Not part of the cache key.
-    pub cancel: CancelToken,
 }
 
 impl Default for SatOptions {
@@ -99,7 +94,6 @@ impl Default for SatOptions {
             loop_time_limit: Some(Duration::from_secs(180)),
             loop_conflict_limit: None,
             max_ops: 80,
-            cancel: CancelToken::never(),
         }
     }
 }
@@ -152,7 +146,7 @@ pub struct SatStats {
     pub learned_literals: u64,
     /// SAT solves performed (one per II actually searched).
     pub solves: u32,
-    /// Whether any wall-clock deadline (or cancellation) truncated the
+    /// Whether any wall-clock deadline truncated the
     /// search. A result carrying this flag depends on host load and is
     /// *not* reproducible; the schedule cache refuses to memoize it.
     pub deadline_hit: bool,
@@ -204,7 +198,7 @@ pub enum SatError {
         min_ii: u32,
         /// MaxII bound.
         max_ii: u32,
-        /// Whether a wall-clock deadline (or cancellation) truncated the
+        /// Whether a wall-clock deadline truncated the
         /// search. When set, the failure is host-load-dependent (retrying
         /// may succeed); the schedule cache never memoizes it.
         deadline_hit: bool,
@@ -264,7 +258,7 @@ pub fn pipeline_sat(
     // not a register-allocation failure).
     let mut proven_below = true;
     for ii in min_ii..=max_ii {
-        if opts.cancel.is_cancelled() || loop_deadline.is_some_and(|d| Instant::now() >= d) {
+        if loop_deadline.is_some_and(|d| Instant::now() >= d) {
             stats.deadline_hit = true;
             break;
         }
@@ -369,7 +363,7 @@ fn solve_at_ii(
     };
     let mut solver = Solver::new(&inst);
     stats.solves += 1;
-    let outcome = solver.solve(&budget, &opts.cancel);
+    let outcome = solver.solve(&budget);
     stats.decisions += solver.stats.decisions;
     stats.conflicts += solver.stats.conflicts;
     stats.propagations += solver.stats.propagations;
@@ -412,11 +406,7 @@ fn fallback_or_fail(
     deadline_hit: bool,
 ) -> Result<SatPipelined, SatError> {
     if opts.fallback {
-        let heur_opts = HeurOptions {
-            cancel: opts.cancel.clone(),
-            ..HeurOptions::default()
-        };
-        if let Ok(h) = swp_heur::pipeline(lp, machine, &heur_opts) {
+        if let Ok(h) = swp_heur::pipeline(lp, machine, &HeurOptions::default()) {
             swp_obs::count(swp_obs::Counter::SatFallbacks, 1);
             let stats = SatStats {
                 fell_back: true,
@@ -542,22 +532,6 @@ mod tests {
                 ));
             }
             (a, b) => panic!("runs disagreed: {a:?} vs {b:?}"),
-        }
-    }
-
-    #[test]
-    fn cancelled_search_reports_deadline() {
-        let m = Machine::r8000();
-        let token = CancelToken::new();
-        token.cancel();
-        let opts = SatOptions {
-            fallback: false,
-            cancel: token,
-            ..SatOptions::default()
-        };
-        match pipeline_sat(&saxpy(), &m, &opts) {
-            Err(SatError::NoSchedule { deadline_hit, .. }) => assert!(deadline_hit),
-            other => panic!("pre-cancelled search must fail transiently, got {other:?}"),
         }
     }
 

@@ -11,13 +11,12 @@
 //! sequence on conflict counts. Two runs of the same instance truncate at
 //! identical points — the property every differential and determinism
 //! test in this repository leans on. Only the optional wall-clock deadline
-//! and the cooperative cancel token break reproducibility, and both report
-//! themselves via [`SolveOutcome::Unknown`] `deadline_hit` so callers can
-//! refuse to memoize.
+//! breaks reproducibility, and it reports itself via
+//! [`SolveOutcome::Unknown`] `deadline_hit` so callers can refuse to
+//! memoize.
 
 use crate::encode::Instance;
 use std::time::Instant;
-use swp_obs::CancelToken;
 
 /// A literal: variable index shifted left, low bit = negated.
 pub(crate) type Lit = u32;
@@ -68,10 +67,10 @@ pub(crate) enum SolveOutcome {
     /// Proven unsatisfiable (conflict at decision level 0).
     Unsat,
     /// Budget ran out before a verdict. `deadline_hit` marks the
-    /// host-dependent truncations (wall clock or cancellation) as opposed
-    /// to the deterministic conflict/propagation budgets.
+    /// host-dependent wall-clock truncations as opposed to the
+    /// deterministic conflict/propagation budgets.
     Unknown {
-        /// Wall-clock deadline or cancel token fired.
+        /// Wall-clock deadline fired.
         deadline_hit: bool,
     },
 }
@@ -626,7 +625,7 @@ impl<'a> Solver<'a> {
     }
 
     /// Run CDCL until SAT, UNSAT, or budget exhaustion.
-    pub(crate) fn solve(&mut self, budget: &SolveBudget, cancel: &CancelToken) -> SolveOutcome {
+    pub(crate) fn solve(&mut self, budget: &SolveBudget) -> SolveOutcome {
         if self.root_conflict {
             return SolveOutcome::Unsat;
         }
@@ -664,7 +663,7 @@ impl<'a> Solver<'a> {
                         deadline_hit: false,
                     };
                 }
-                if cancel.is_cancelled() || budget.deadline.is_some_and(|d| Instant::now() >= d) {
+                if budget.deadline.is_some_and(|d| Instant::now() >= d) {
                     return SolveOutcome::Unknown { deadline_hit: true };
                 }
                 if self.stats.conflicts >= conflicts_until_restart {
@@ -687,8 +686,7 @@ impl<'a> Solver<'a> {
                 since_poll += 1;
                 if since_poll >= 64 {
                     since_poll = 0;
-                    if cancel.is_cancelled() || budget.deadline.is_some_and(|d| Instant::now() >= d)
-                    {
+                    if budget.deadline.is_some_and(|d| Instant::now() >= d) {
                         return SolveOutcome::Unknown { deadline_hit: true };
                     }
                 }

@@ -124,8 +124,8 @@ pub enum WireChoice {
     Ilp,
     /// The CDCL SAT scheduler with quick budgets (demotable under load).
     Sat,
-    /// Race ILP, SAT, and the heuristic; fixed-priority winner. The
-    /// race outcome is deterministic, so results are cacheable.
+    /// ILP, then SAT, then the heuristic; the first success ships. The
+    /// winner is decided by fixed priority, so results are cacheable.
     Portfolio,
 }
 

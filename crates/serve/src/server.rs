@@ -61,7 +61,7 @@ pub fn quick_ladder_options() -> LadderOptions {
 }
 
 /// The service's portfolio: every backend on quick deterministic
-/// budgets, so the fixed-priority race outcome is host-independent.
+/// budgets, so the fixed-priority winner is host-independent.
 pub fn quick_portfolio_options() -> PortfolioOptions {
     PortfolioOptions {
         most: MostOptions::quick(),
@@ -385,6 +385,32 @@ fn process_batch(shared: &Shared, req: &RequestBatch) -> ResponseBatch {
 
 fn scheduler_for(req: &RequestBatch, demotion: u32) -> SchedulerChoice {
     let deadline = (req.deadline_ms > 0).then(|| Duration::from_millis(u64::from(req.deadline_ms)));
+    // The optimal backends' budgets below demotion level 2: quick, leashed
+    // at level 1, bounded by the request's deadline. The direct choices
+    // and the portfolio share them (`layerbench` mirrors the SAT numbers).
+    let most = || {
+        let mut most = MostOptions::quick();
+        if demotion == 1 {
+            most.loop_pivot_limit = Some(100_000);
+            most.pivot_limit = most.pivot_limit.min(100_000);
+            most.node_limit = most.node_limit.min(2_000);
+        }
+        if let Some(d) = deadline {
+            most.loop_time_limit = Some(d);
+        }
+        most
+    };
+    let sat = || {
+        let mut sat = SatOptions::quick();
+        if demotion == 1 {
+            sat.loop_conflict_limit = Some(15_000);
+            sat.conflict_limit = sat.conflict_limit.min(5_000);
+        }
+        if let Some(d) = deadline {
+            sat.loop_time_limit = Some(d);
+        }
+        sat
+    };
     match req.choice {
         WireChoice::Ladder => {
             let mut opts = quick_ladder_options().demoted(demotion);
@@ -394,55 +420,17 @@ fn scheduler_for(req: &RequestBatch, demotion: u32) -> SchedulerChoice {
             SchedulerChoice::LadderWith(Box::new(opts))
         }
         WireChoice::Heuristic => SchedulerChoice::Heuristic,
-        WireChoice::Ilp => {
-            if demotion >= 2 {
-                return SchedulerChoice::Heuristic;
-            }
-            let mut most = MostOptions::quick();
-            if demotion == 1 {
-                most.loop_pivot_limit = Some(100_000);
-                most.pivot_limit = most.pivot_limit.min(100_000);
-                most.node_limit = most.node_limit.min(2_000);
-            }
-            if let Some(d) = deadline {
-                most.loop_time_limit = Some(d);
-            }
-            SchedulerChoice::IlpWith(most)
-        }
-        WireChoice::Sat => {
-            if demotion >= 2 {
-                return SchedulerChoice::Heuristic;
-            }
-            let mut sat = SatOptions::quick();
-            if demotion == 1 {
-                sat.loop_conflict_limit = Some(15_000);
-                sat.conflict_limit = sat.conflict_limit.min(5_000);
-            }
-            if let Some(d) = deadline {
-                sat.loop_time_limit = Some(d);
-            }
-            SchedulerChoice::SatWith(sat)
-        }
-        WireChoice::Portfolio => {
-            if demotion >= 2 {
-                return SchedulerChoice::Heuristic;
-            }
-            let mut opts = quick_portfolio_options();
-            if demotion == 1 {
-                // Shed the optimal racers' effort, keep the heuristic
-                // at full strength: the race still ships something.
-                opts.most.loop_pivot_limit = Some(100_000);
-                opts.most.pivot_limit = opts.most.pivot_limit.min(100_000);
-                opts.most.node_limit = opts.most.node_limit.min(2_000);
-                opts.sat.loop_conflict_limit = Some(15_000);
-                opts.sat.conflict_limit = opts.sat.conflict_limit.min(5_000);
-            }
-            if let Some(d) = deadline {
-                opts.most.loop_time_limit = Some(d);
-                opts.sat.loop_time_limit = Some(d);
-            }
-            SchedulerChoice::PortfolioWith(Box::new(opts))
-        }
+        // Past level 1 every optimal choice sheds to the heuristic.
+        _ if demotion >= 2 => SchedulerChoice::Heuristic,
+        WireChoice::Ilp => SchedulerChoice::IlpWith(most()),
+        WireChoice::Sat => SchedulerChoice::SatWith(sat()),
+        // The heuristic keeps its full strength, so a leashed portfolio
+        // still ships something.
+        WireChoice::Portfolio => SchedulerChoice::PortfolioWith(Box::new(PortfolioOptions {
+            most: most(),
+            sat: sat(),
+            ..quick_portfolio_options()
+        })),
     }
 }
 
@@ -537,4 +525,97 @@ pub fn code_fingerprint(c: &CompiledLoop) -> u64 {
     }
     e.u32(code.total_regs());
     fnv1a(&e.buf)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use showdown::{OptLevel, VerifyLevel};
+    use swp_ir::LoopBuilder;
+
+    fn saxpy() -> Loop {
+        let mut b = LoopBuilder::new("saxpy");
+        let a = b.invariant_f("a");
+        let x = b.array("x", 8);
+        let y = b.array("y", 8);
+        let xv = b.load(x, 0, 8);
+        let yv = b.load(y, 0, 8);
+        let r = b.fmadd(a, xv, yv);
+        b.store(y, 0, 8, r);
+        b.finish()
+    }
+
+    /// `(choice, demotion, deadline_ms, cache_key_with)` for saxpy on the
+    /// R8000, as the server compiles it. These keys address on-disk store
+    /// records, so a change to the demotion presets that moves any value
+    /// here invalidates every stored record; make it deliberately.
+    const GOLDEN: &[(WireChoice, u32, u32, u64)] = &[
+        (WireChoice::Ladder, 0, 0, 0xa140bee4ad1b8877),
+        (WireChoice::Ladder, 0, 250, 0xb6f88409d7545f2e),
+        (WireChoice::Ladder, 1, 0, 0x89008b8accdd70d8),
+        (WireChoice::Ladder, 1, 250, 0x6fdf8b9b06635311),
+        (WireChoice::Ladder, 2, 0, 0xbfb7f99a532f024e),
+        (WireChoice::Ladder, 2, 250, 0xed2d7db64a72603b),
+        (WireChoice::Heuristic, 0, 0, 0x0e92adaf0808ed65),
+        (WireChoice::Heuristic, 0, 250, 0x0e92adaf0808ed65),
+        (WireChoice::Heuristic, 1, 0, 0x0e92adaf0808ed65),
+        (WireChoice::Heuristic, 1, 250, 0x0e92adaf0808ed65),
+        (WireChoice::Heuristic, 2, 0, 0x0e92adaf0808ed65),
+        (WireChoice::Heuristic, 2, 250, 0x0e92adaf0808ed65),
+        (WireChoice::Ilp, 0, 0, 0xa1086c9875f54c3c),
+        (WireChoice::Ilp, 0, 250, 0x6352726c2ef57157),
+        (WireChoice::Ilp, 1, 0, 0xdeed08c8423e8218),
+        (WireChoice::Ilp, 1, 250, 0x0d2f96a3ef98f6c3),
+        (WireChoice::Ilp, 2, 0, 0x0e92adaf0808ed65),
+        (WireChoice::Ilp, 2, 250, 0x0e92adaf0808ed65),
+        (WireChoice::Sat, 0, 0, 0x1380dfcf1988ca49),
+        (WireChoice::Sat, 0, 250, 0xc62f4e5702d53fd2),
+        (WireChoice::Sat, 1, 0, 0xfc6cb3034002081a),
+        (WireChoice::Sat, 1, 250, 0x6fc5d586313d8935),
+        (WireChoice::Sat, 2, 0, 0x0e92adaf0808ed65),
+        (WireChoice::Sat, 2, 250, 0x0e92adaf0808ed65),
+        (WireChoice::Portfolio, 0, 0, 0x4979166e4afed551),
+        (WireChoice::Portfolio, 0, 250, 0xc10de5bf6a1aa433),
+        (WireChoice::Portfolio, 1, 0, 0x85624d88bc98d980),
+        (WireChoice::Portfolio, 1, 250, 0xbfd341f014d2af36),
+        (WireChoice::Portfolio, 2, 0, 0x0e92adaf0808ed65),
+        (WireChoice::Portfolio, 2, 250, 0x0e92adaf0808ed65),
+    ];
+
+    #[test]
+    fn served_compile_keys_are_frozen() {
+        let lp = saxpy();
+        let m = Machine::r8000();
+        let mut keys = Vec::new();
+        for choice in [
+            WireChoice::Ladder,
+            WireChoice::Heuristic,
+            WireChoice::Ilp,
+            WireChoice::Sat,
+            WireChoice::Portfolio,
+        ] {
+            for demotion in 0..=2 {
+                for deadline_ms in [0, 250] {
+                    let req = RequestBatch {
+                        batch_id: 0,
+                        client: "golden".to_owned(),
+                        deadline_ms,
+                        choice,
+                        opt: OptLevel::Off,
+                        verify: VerifyLevel::Off,
+                        loops: Vec::new(),
+                    };
+                    let options = CompileOptions {
+                        choice: scheduler_for(&req, demotion),
+                        verify: req.verify,
+                        opt: req.opt,
+                        telemetry: Telemetry::disabled(),
+                    };
+                    let key = cache_key_with(&lp, &m, &options);
+                    keys.push((choice, demotion, deadline_ms, key));
+                }
+            }
+        }
+        assert_eq!(keys, GOLDEN);
+    }
 }

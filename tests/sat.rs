@@ -6,8 +6,8 @@
 //!   budget (they search the same horizon, so their per-II verdicts must
 //!   coincide), and every SAT schedule is audit-clean at zero findings;
 //! - the portfolio is **deterministic**: the winner is chosen by fixed
-//!   backend priority at join, never by wall clock, so any thread count
-//!   produces the bit-identical compiled loop.
+//!   backend priority, never by wall clock, so any thread count produces
+//!   the bit-identical compiled loop.
 
 use proptest::prelude::*;
 use showdown::{
@@ -199,7 +199,7 @@ proptest! {
     }
 }
 
-/// The portfolio race on one driver: the fixed set of loops below is
+/// The portfolio on one driver: the fixed set of loops below is
 /// chosen so every backend wins at least once (ILP on the easy kernels,
 /// SAT when ILP is handicapped to `max_ops: 0`, the heuristic when both
 /// optimal backends are).
@@ -259,8 +259,8 @@ fn portfolio_fleet(threads: usize) -> Vec<(Option<Rung>, u32, swp_codegen::Pipel
         .collect()
 }
 
-/// The race's winner is decided by fixed backend priority at join, never
-/// by wall clock: any driver thread count must produce the bit-identical
+/// The portfolio's winner is decided by fixed backend priority, never by
+/// wall clock: any driver thread count must produce the bit-identical
 /// winner rung, II, and expanded code for every loop.
 #[test]
 fn portfolio_is_deterministic_across_thread_counts() {
